@@ -8,6 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
+use cage::engine::memory::PAGE_SIZE;
 use cage::engine::{Imports, Store};
 use cage::mte::{AccessKind, MteMode, Tag, TagMemory};
 use cage::pac::{PacKey, PacSigner, PointerLayout};
@@ -83,6 +84,12 @@ fn bench_table1_mte_ops(c: &mut Criterion) {
     });
     group.bench_function("set_tag_range_4k", |b| {
         b.iter(|| mem.set_tag_range(8192, 4096, tag));
+    });
+    // The instantiation-time pre-tag of a 64-page linear memory (§7.2).
+    let guest = 64 * PAGE_SIZE;
+    let mut linear = TagMemory::new(guest, MteMode::Synchronous);
+    group.bench_function("pretag_64_pages", |b| {
+        b.iter(|| linear.set_tag_range(0, guest, tag));
     });
     group.finish();
 }

@@ -2,7 +2,7 @@
 //! bit-identical on randomized control-flow bodies — the register tier
 //! (`Store::call`, SSA → linear scan → 3-address bytecode), the stack
 //! tier (`Store::call_stack`, the flat stack bytecode it replaced) and
-//! the structured tree walker (the `#[cfg(test)]` oracle in `interp.rs`).
+//! the structured tree walker (the oracle in `interp.rs`).
 //! Same results, same traps, same cycle-counter f64 bits, same
 //! retired-instruction counts.
 //!
@@ -34,8 +34,9 @@ use cage_wasm::builder::ModuleBuilder;
 use cage_wasm::instr::{LoadOp, StoreOp};
 use cage_wasm::{validate, BlockType, Instr, MemArg, Module, ValType};
 
-use crate::config::{ExecConfig, InternalSafety};
+use crate::config::{BoundsCheckStrategy, ExecConfig, InternalSafety};
 use crate::host::Imports;
+use crate::memory::{LinearMemory, RUNTIME_SLACK};
 use crate::store::{InstanceLimits, Store};
 use crate::value::Value;
 
@@ -1095,23 +1096,79 @@ fn page_limit_denies_grow_and_downstream_fill_traps_across_tiers() {
     );
 }
 
+/// Asserts that two memories hold the same state: every data byte,
+/// guest and runtime slack alike, and the whole tag store (tags, mode,
+/// pending asynchronous fault), but not the tag-check counter.
+fn assert_same_memory(
+    fresh: Option<&LinearMemory>,
+    recycled: Option<&LinearMemory>,
+    seed: u64,
+    when: &str,
+) {
+    let (fresh, recycled) = (
+        fresh.expect("the generator declares a memory"),
+        recycled.expect("the generator declares a memory"),
+    );
+    assert_eq!(
+        fresh.size(),
+        recycled.size(),
+        "seed {seed}: {when}: memory sizes diverged"
+    );
+    let len = fresh.size() + RUNTIME_SLACK;
+    let (a, b) = (fresh.read_resolved(0, len), recycled.read_resolved(0, len));
+    if let Some(i) = a.iter().zip(b).position(|(x, y)| x != y) {
+        panic!(
+            "seed {seed}: {when}: data byte {i:#x} diverged: fresh {:#04x}, recycled {:#04x}",
+            a[i], b[i]
+        );
+    }
+    assert!(
+        fresh.tags().state_eq(recycled.tags()),
+        "seed {seed}: {when}: tag stores diverged"
+    );
+}
+
+/// Tags a few seeded segments the way a tenant's allocator would: the
+/// generator emits no segment instructions, so without this the reset
+/// would never have a segment tag to restore. Inert when the
+/// configuration's internal safety is off.
+fn leave_segments_behind(mem: &mut LinearMemory, seed: u64, config: &ExecConfig) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let granules = mem.size() / 16;
+    for _ in 0..4 {
+        let g0 = rng.gen::<u64>() % granules;
+        let len = 16 * (1 + rng.gen::<u64>() % (granules - g0).min(64));
+        mem.segment_new(g0 * 16, len, config)
+            .expect("aligned in-bounds segment");
+    }
+}
+
 /// Pool-reset equivalence oracle: recycling an instance through
 /// `Store::reset_instance` must be indistinguishable from a fresh
-/// instantiation — same results, same traps, same cycle-counter f64
-/// bits, same retired-instruction counts — even after the previous
-/// tenant grew, filled, copied and trapped its way through memory (the
+/// instantiation — same memory bytes and tag store before and after the
+/// run, same results, same traps, same cycle-counter f64 bits, same
+/// retired-instruction counts — even after the previous tenant grew,
+/// filled, copied, tagged and trapped its way through memory (the
 /// generator emits `memory.grow`/`memory.fill`/`memory.copy` and has a
-/// healthy trap rate, so all of those histories are exercised).
+/// healthy trap rate, so all of those histories are exercised; segments
+/// come from [`leave_segments_behind`]).
 fn check_reset_equivalence(seed: u64, arg: i64, dirty_arg: i64) {
     let module = random_module(seed);
     validate(&module)
         .unwrap_or_else(|e| panic!("generator produced invalid module: {e}\nseed {seed}"));
-    for config in configs() {
+    // Cage's full deployment on top: MTE sandboxing plus MTE segments
+    // (the combined tag scheme), whose guest memory is pre-tagged with a
+    // non-zero tag at instantiation and retagged on every reset.
+    let combined = ExecConfig {
+        bounds: BoundsCheckStrategy::MteSandbox,
+        internal: InternalSafety::Mte,
+        ..configs()[0]
+    };
+    for config in configs().into_iter().chain([combined]) {
         let mut fresh_store = Store::new(config);
         let fresh_h = fresh_store
             .instantiate(&module, &Imports::new())
             .expect("instantiates");
-        let fresh = fresh_store.invoke(fresh_h, "run", &[Value::I64(arg)]);
 
         // Same-seed store: one tenant dirties the instance (a trap here
         // is fine — that's a tenant dying), then the slot is recycled.
@@ -1120,10 +1177,27 @@ fn check_reset_equivalence(seed: u64, arg: i64, dirty_arg: i64) {
             .instantiate(&module, &Imports::new())
             .expect("instantiates");
         let _ = pool_store.invoke(pool_h, "run", &[Value::I64(dirty_arg)]);
+        if let Some(mem) = pool_store.memory_mut(pool_h) {
+            leave_segments_behind(mem, seed, &config);
+        }
         pool_store
             .reset_instance(pool_h)
             .expect("reset succeeds (module has no start function)");
+        assert_same_memory(
+            fresh_store.memory(fresh_h),
+            pool_store.memory(pool_h),
+            seed,
+            "after reset",
+        );
+
+        let fresh = fresh_store.invoke(fresh_h, "run", &[Value::I64(arg)]);
         let recycled = pool_store.invoke(pool_h, "run", &[Value::I64(arg)]);
+        assert_same_memory(
+            fresh_store.memory(fresh_h),
+            pool_store.memory(pool_h),
+            seed,
+            "after the run",
+        );
 
         match (&fresh, &recycled) {
             (Ok(a), Ok(b)) => {

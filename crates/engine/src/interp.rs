@@ -29,8 +29,8 @@
 //! [`crate::memory::LinearMemory::resolve`] policy ladder only when MTE
 //! sandboxing or internal tagging is active.
 //!
-//! The original structured tree walker survives behind `#[cfg(test)]` as
-//! the differential-testing oracle: property tests assert the flat
+//! The original structured tree walker survives as the
+//! differential-testing oracle: property tests assert the flat
 //! dispatcher is bit-identical to it on results, traps and cycles.
 
 use std::panic::{self, AssertUnwindSafe};
@@ -566,7 +566,7 @@ impl<'s> Interp<'s> {
 
     /// Executes one data op (anything but resolved control flow): the
     /// single implementation shared by the flat dispatch loop and the
-    /// `#[cfg(test)]` tree-walking oracle.
+    /// tree-walking oracle.
     ///
     /// `inline(always)` so the dispatch loop's control match and this
     /// data match fuse into a single jump table — without it every

@@ -367,24 +367,12 @@ impl LinearMemory {
         self.data.resize(total as usize, 0);
         // Zero the region that used to be slack and is now guest memory.
         let old_size = self.guest_size;
-        for b in &mut self.data
-            [old_size as usize..(old_size + RUNTIME_SLACK.min(new_size - old_size)) as usize]
-        {
-            *b = 0;
-        }
+        self.data[old_size as usize..(old_size + RUNTIME_SLACK.min(new_size - old_size)) as usize]
+            .fill(0);
         self.tags.grow(new_size + RUNTIME_SLACK);
-        let initial = self.scheme.initial_tag();
-        if !initial.is_zero() {
-            self.tags
-                .set_tag_range(old_size, new_size - old_size, initial)
-                .expect("page-aligned grow");
-        } else {
-            // New guest pages must be untagged even though the old slack
-            // region may never have been tagged differently (it is zero).
-            self.tags
-                .set_tag_range(old_size, new_size - old_size, Tag::ZERO)
-                .expect("page-aligned grow");
-        }
+        self.tags
+            .set_tag_range(old_size, new_size - old_size, self.scheme.initial_tag())
+            .expect("page-aligned grow");
         self.guest_size = new_size;
         Some(old_pages)
     }
@@ -700,9 +688,7 @@ impl LinearMemory {
             .set_tag_range(addr, len, mem_tag)
             .expect("range checked above");
         // Zero the segment (segment.new returns zeroed memory).
-        for b in &mut self.data[addr as usize..(addr + len) as usize] {
-            *b = 0;
-        }
+        self.data[addr as usize..(addr + len) as usize].fill(0);
         let nibble = self.scheme.pointer_nibble(mem_tag);
         Ok((ptr & !(0xF << 56)) | (u64::from(nibble) << 56))
     }

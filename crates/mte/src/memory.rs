@@ -6,6 +6,8 @@
 //! space for a contiguous region (a WASM linear memory or a whole simulated
 //! process address space) plus the check machinery for the four MTE modes.
 
+use std::ops::Range;
+
 use crate::fault::{AccessKind, TagCheckFault};
 use crate::tag::{Tag, TagError, GRANULE_SIZE};
 
@@ -108,6 +110,18 @@ impl TagMemory {
         self.checks
     }
 
+    /// Whether `other` holds the same architectural state: size, mode,
+    /// every granule's tag and the pending asynchronous fault. The check
+    /// counter is statistics, not state, and is ignored (a recycled
+    /// instance legitimately counts its previous tenant's checks).
+    #[must_use]
+    pub fn state_eq(&self, other: &TagMemory) -> bool {
+        self.size == other.size
+            && self.mode == other.mode
+            && self.pending_async == other.pending_async
+            && self.nibbles == other.nibbles
+    }
+
     fn granule_index(addr: u64) -> usize {
         (addr / GRANULE_SIZE as u64) as usize
     }
@@ -120,14 +134,16 @@ impl TagMemory {
         if addr >= self.size {
             return None;
         }
-        let idx = Self::granule_index(addr);
+        Some(self.granule(Self::granule_index(addr)))
+    }
+
+    fn granule(&self, idx: usize) -> Tag {
         let byte = self.nibbles[idx / 2];
-        let nibble = if idx.is_multiple_of(2) {
-            byte & 0xF
+        Tag::from_low_bits(if idx.is_multiple_of(2) {
+            byte
         } else {
             byte >> 4
-        };
-        Some(Tag::from_low_bits(nibble))
+        })
     }
 
     fn set_granule(&mut self, idx: usize, tag: Tag) {
@@ -139,18 +155,37 @@ impl TagMemory {
         }
     }
 
+    /// The first granule in `[g0, g1)` whose tag is not `tag`, in
+    /// ascending order. Whole body bytes are compared against the doubled
+    /// nibble; only a mismatching byte is opened up to find which of its
+    /// two granules differs first.
+    fn first_mismatching_granule(&self, g0: usize, g1: usize, tag: Tag) -> Option<usize> {
+        let split = GranuleSplit::new(g0, g1);
+        let differs = |&g: &usize| self.granule(g) != tag;
+        if let Some(g) = split.head.filter(differs) {
+            return Some(g);
+        }
+        let doubled = tag.value() * 0x11;
+        if let Some(i) = self.nibbles[split.body.clone()]
+            .iter()
+            .position(|&b| b != doubled)
+        {
+            let g = 2 * (split.body.start + i);
+            return Some(if differs(&g) { g } else { g + 1 });
+        }
+        split.tail.filter(differs)
+    }
+
     /// Tags `[addr, addr + len)` with `tag` (models a `stg` loop / `st2g`).
     ///
     /// # Errors
     ///
-    /// * [`TagError::Unaligned`] if `addr` or `len` is not 16-byte aligned.
-    /// * [`TagError::OutOfRange`] is never returned here; out-of-bounds
-    ///   ranges produce [`TagError::Unaligned`]-distinct errors via
-    ///   [`TagMemory::set_tag_range`]'s bound check, reported as
-    ///   [`TagError::Unaligned`] would be misleading, so a dedicated check
-    ///   returns `Err(TagError::Unaligned(addr))` only for alignment and a
-    ///   panic-free bound failure returns `Err(TagError::OutOfRange(0))`
-    ///   sentinel — see tests.
+    /// * [`TagError::Unaligned`]`(addr)` if `addr` is not 16-byte aligned.
+    /// * [`TagError::Unaligned`]`(len)` if `len` is not 16-byte aligned.
+    /// * [`TagError::OutOfRange`]`(0)` if the range overflows or ends past
+    ///   [`TagMemory::size`].
+    ///
+    /// Nothing is tagged when an error is returned.
     pub fn set_tag_range(&mut self, addr: u64, len: u64, tag: Tag) -> Result<(), TagError> {
         if !addr.is_multiple_of(GRANULE_SIZE as u64) {
             return Err(TagError::Unaligned(addr));
@@ -158,13 +193,19 @@ impl TagMemory {
         if !len.is_multiple_of(GRANULE_SIZE as u64) {
             return Err(TagError::Unaligned(len));
         }
-        if addr.checked_add(len).is_none() || addr + len > self.size {
-            return Err(TagError::OutOfRange(0));
+        let end = match addr.checked_add(len) {
+            Some(end) if end <= self.size => end,
+            _ => return Err(TagError::OutOfRange(0)),
+        };
+        // One bytewise fill with the doubled nibble for the body; the
+        // edges are single nibble writes.
+        let split = GranuleSplit::new(Self::granule_index(addr), Self::granule_index(end));
+        if let Some(g) = split.head {
+            self.set_granule(g, tag);
         }
-        let first = Self::granule_index(addr);
-        let count = (len / GRANULE_SIZE as u64) as usize;
-        for idx in first..first + count {
-            self.set_granule(idx, tag);
+        self.nibbles[split.body].fill(tag.value() * 0x11);
+        if let Some(g) = split.tail {
+            self.set_granule(g, tag);
         }
         Ok(())
     }
@@ -181,16 +222,11 @@ impl TagMemory {
         if last >= self.size {
             return None;
         }
-        let first = self.tag_at(addr)?;
-        let mut g = addr / GRANULE_SIZE as u64 + 1;
-        let g_last = last / GRANULE_SIZE as u64;
-        while g <= g_last {
-            if self.tag_at(g * GRANULE_SIZE as u64)? != first {
-                return None;
-            }
-            g += 1;
-        }
-        Some(first)
+        let g0 = Self::granule_index(addr);
+        let first = self.granule(g0);
+        self.first_mismatching_granule(g0 + 1, Self::granule_index(last) + 1, first)
+            .is_none()
+            .then_some(first)
     }
 
     /// Performs the lock-and-key check for an access of `len` bytes at
@@ -246,17 +282,16 @@ impl TagMemory {
         if last >= self.size {
             return Some((addr.max(self.size), None));
         }
-        let mut g = addr / GRANULE_SIZE as u64;
-        let g_last = last / GRANULE_SIZE as u64;
-        while g <= g_last {
-            let g_addr = g * GRANULE_SIZE as u64;
-            let mem_tag = self.tag_at(g_addr).expect("granule in bounds");
-            if mem_tag != ptr_tag {
-                return Some((g_addr.max(addr), Some(mem_tag)));
-            }
-            g += 1;
-        }
-        None
+        let (g0, g_last) = (Self::granule_index(addr), Self::granule_index(last));
+        // Nearly every checked access (a scalar load or store) lies in
+        // one granule: compare its nibble without splitting the range.
+        let g = if g0 == g_last {
+            (self.granule(g0) != ptr_tag).then_some(g0)
+        } else {
+            self.first_mismatching_granule(g0, g_last + 1, ptr_tag)
+        }?;
+        let g_addr = (g * GRANULE_SIZE) as u64;
+        Some((g_addr.max(addr), Some(self.granule(g))))
     }
 
     /// Takes the pending asynchronous fault, if any (models the kernel
@@ -269,6 +304,31 @@ impl TagMemory {
     #[must_use]
     pub fn has_async_fault(&self) -> bool {
         self.pending_async.is_some()
+    }
+}
+
+/// A granule range `[g0, g1)` split along the packed-nibble layout
+/// (granule `2i` in the low nibble of byte `i`, granule `2i + 1` in its
+/// high nibble): an odd `head` granule sharing its byte with `g0 - 1`, a
+/// `body` of whole bytes whose two granules both lie in the range, and an
+/// even `tail` granule sharing its byte with `g1`. Body bytes can be
+/// filled and compared whole; only the edges need nibble masking.
+struct GranuleSplit {
+    head: Option<usize>,
+    body: Range<usize>,
+    tail: Option<usize>,
+}
+
+impl GranuleSplit {
+    fn new(g0: usize, g1: usize) -> Self {
+        let head = (!g0.is_multiple_of(2) && g0 < g1).then_some(g0);
+        let start = g0 + usize::from(head.is_some());
+        let tail = (!g1.is_multiple_of(2) && start < g1).then(|| g1 - 1);
+        GranuleSplit {
+            head,
+            body: start / 2..g1 / 2,
+            tail,
+        }
     }
 }
 
@@ -439,5 +499,228 @@ mod tests {
         assert!(m
             .check_access(0, 0, Tag::new(2).unwrap(), AccessKind::Read)
             .is_err());
+    }
+
+    /// One `Tag` per granule, checked granule by granule: the reference
+    /// the packed-nibble kernels must agree with.
+    struct Reference {
+        tags: Vec<Tag>,
+        size: u64,
+        mode: MteMode,
+        pending_async: Option<TagCheckFault>,
+    }
+
+    impl Reference {
+        fn new(size: u64, mode: MteMode) -> Self {
+            Reference {
+                tags: vec![Tag::ZERO; size.div_ceil(16) as usize],
+                size,
+                mode,
+                pending_async: None,
+            }
+        }
+
+        fn tag_at(&self, addr: u64) -> Option<Tag> {
+            (addr < self.size).then(|| self.tags[(addr / 16) as usize])
+        }
+
+        fn set_tag_range(&mut self, addr: u64, len: u64, tag: Tag) -> Result<(), TagError> {
+            if !addr.is_multiple_of(16) {
+                return Err(TagError::Unaligned(addr));
+            }
+            if !len.is_multiple_of(16) {
+                return Err(TagError::Unaligned(len));
+            }
+            if addr.checked_add(len).is_none_or(|end| end > self.size) {
+                return Err(TagError::OutOfRange(0));
+            }
+            for g in addr / 16..(addr + len) / 16 {
+                self.tags[g as usize] = tag;
+            }
+            Ok(())
+        }
+
+        fn range_tag(&self, addr: u64, len: u64) -> Option<Tag> {
+            let last = addr.checked_add(len.max(1) - 1)?;
+            self.tag_at(last)?;
+            let first = self.tag_at(addr)?;
+            (addr / 16..=last / 16)
+                .all(|g| self.tags[g as usize] == first)
+                .then_some(first)
+        }
+
+        fn check_access(
+            &mut self,
+            addr: u64,
+            len: u64,
+            ptr_tag: Tag,
+            kind: AccessKind,
+        ) -> Result<(), TagCheckFault> {
+            if self.mode == MteMode::Disabled {
+                return Ok(());
+            }
+            let last = addr.checked_add(len.max(1) - 1);
+            let (fault_addr, mem_tag) = match last {
+                None => (addr, None),
+                Some(last) if last >= self.size => (addr.max(self.size), None),
+                Some(last) => {
+                    let Some(g) =
+                        (addr / 16..=last / 16).find(|&g| self.tags[g as usize] != ptr_tag)
+                    else {
+                        return Ok(());
+                    };
+                    ((g * 16).max(addr), Some(self.tags[g as usize]))
+                }
+            };
+            let asynchronous = !self.mode.is_sync_for(kind);
+            let fault = TagCheckFault {
+                addr: fault_addr,
+                ptr_tag,
+                mem_tag,
+                access: kind,
+                asynchronous,
+            };
+            if asynchronous {
+                self.pending_async.get_or_insert(fault);
+                Ok(())
+            } else {
+                Err(fault)
+            }
+        }
+    }
+
+    const MODES: [MteMode; 4] = [
+        MteMode::Disabled,
+        MteMode::Synchronous,
+        MteMode::Asynchronous,
+        MteMode::Asymmetric,
+    ];
+
+    fn assert_same_tags(m: &TagMemory, r: &Reference, context: &str) {
+        for g in 0..r.tags.len() as u64 {
+            assert_eq!(m.tag_at(g * 16), r.tag_at(g * 16), "{context}: granule {g}");
+        }
+        assert_eq!(m.tag_at(r.size), None, "{context}: one past the end");
+    }
+
+    #[test]
+    fn every_granule_range_matches_the_reference() {
+        // 9 and 10 granules: the last granule is a lone low nibble in the
+        // first, a high nibble in the second. Every [g0, g1) pair covers
+        // odd and even heads and tails, empty, one-granule and full ranges.
+        for granules in [9u64, 10] {
+            let size = granules * 16;
+            for g0 in 0..=granules {
+                for g1 in g0..=granules {
+                    let (addr, len) = (g0 * 16, (g1 - g0) * 16);
+                    let mut m = TagMemory::new(size, MteMode::Synchronous);
+                    let mut r = Reference::new(size, MteMode::Synchronous);
+                    let (base, tag) = (Tag::new(0xC).unwrap(), Tag::new(0x5).unwrap());
+                    m.set_tag_range(0, size, base).unwrap();
+                    r.set_tag_range(0, size, base).unwrap();
+                    m.set_tag_range(addr, len, tag).unwrap();
+                    r.set_tag_range(addr, len, tag).unwrap();
+                    let context = format!("size {size}, range [{g0}, {g1})");
+                    assert_same_tags(&m, &r, &context);
+                    for (a, l) in [
+                        (addr, len),
+                        (0, size),
+                        (addr, len + 16),
+                        (addr.saturating_sub(16), len + 16),
+                    ] {
+                        assert_eq!(
+                            m.range_tag(a, l),
+                            r.range_tag(a, l),
+                            "{context}: range_tag({a}, {l})"
+                        );
+                        for t in [base, tag] {
+                            assert_eq!(
+                                m.clone().check_access(a, l, t, AccessKind::Write),
+                                r.check_access(a, l, t, AccessKind::Write),
+                                "{context}: check_access({a}, {l}, {t})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A range biased towards the interesting cases: empty and
+    /// one-granule lengths, runs reaching the end, unaligned starts and
+    /// lengths, and ranges past the end or wrapping the address space.
+    fn draw_range(rng: &mut impl rand::Rng, size: u64) -> (u64, u64) {
+        let granules = size.div_ceil(16);
+        let mut addr = rng.next_u64() % (granules + 2) * 16;
+        let mut len = 16
+            * match rng.next_u64() % 5 {
+                0 => 0,
+                1 => 1,
+                2 => rng.next_u64() % 4,
+                3 => granules.saturating_sub(addr / 16),
+                _ => rng.next_u64() % (granules + 2),
+            };
+        match rng.next_u64() % 10 {
+            0 => addr += 1 + rng.next_u64() % 15,
+            1 => len += 1 + rng.next_u64() % 15,
+            2 => addr = u64::MAX - rng.next_u64() % 64,
+            _ => {}
+        }
+        (addr, len)
+    }
+
+    #[test]
+    fn random_sequences_match_the_reference_in_every_mode() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..64u64 {
+            // Odd and even granule counts, and a size that ends inside a
+            // granule.
+            let size = [1024, 1040, 1000][(seed % 3) as usize];
+            for mode in MODES {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let mut m = TagMemory::new(size, mode);
+                let mut r = Reference::new(size, mode);
+                for step in 0..200 {
+                    let context = format!("seed {seed}, {mode:?}, step {step}");
+                    let (addr, len) = draw_range(&mut rng, size);
+                    let tag = Tag::from_low_bits(rng.gen());
+                    match rng.next_u64() % 4 {
+                        0 | 1 => assert_eq!(
+                            m.set_tag_range(addr, len, tag),
+                            r.set_tag_range(addr, len, tag),
+                            "{context}: set_tag_range({addr}, {len})"
+                        ),
+                        2 => assert_eq!(
+                            m.range_tag(addr, len),
+                            r.range_tag(addr, len),
+                            "{context}: range_tag({addr}, {len})"
+                        ),
+                        _ => {
+                            // Accesses start at any byte, not just granules.
+                            let addr = addr.wrapping_add(rng.next_u64() % 16);
+                            let kind = if rng.gen() {
+                                AccessKind::Read
+                            } else {
+                                AccessKind::Write
+                            };
+                            assert_eq!(
+                                m.check_access(addr, len, tag, kind),
+                                r.check_access(addr, len, tag, kind),
+                                "{context}: check_access({addr}, {len}, {tag}, {kind})"
+                            );
+                            if rng.next_u64() % 4 == 0 {
+                                assert_eq!(
+                                    m.take_async_fault(),
+                                    r.pending_async.take(),
+                                    "{context}: async fault"
+                                );
+                            }
+                        }
+                    }
+                }
+                assert_same_tags(&m, &r, &format!("seed {seed}, {mode:?}"));
+                assert_eq!(m.take_async_fault(), r.pending_async.take());
+            }
+        }
     }
 }
