@@ -24,9 +24,9 @@
 //! * **Binary bytes** — bit flips and truncations of encoded modules
 //!   fed to the decoder, with survivors re-ingested as modules.
 //!
-//! When a mutated module is accepted and self-contained, all three
-//! execution tiers (register, stack, tree oracle — the difftest chain)
-//! run it under a fuel budget and must agree on values and traps.
+//! When a mutated module is accepted and self-contained, both execution
+//! tiers (register, tree oracle — the difftest pair) run it under a fuel
+//! budget and must agree on values and traps.
 
 use cage::engine::{ExecConfig, Imports, Store, Trap, Value};
 use cage::serve::{HostProfile, InstancePre, ServeError};
@@ -82,7 +82,7 @@ pub struct FuzzReport {
     pub decode_accepted: u64,
     /// Mutated binaries the decoder rejected.
     pub decode_rejected: u64,
-    /// Accepted modules run through all three execution tiers.
+    /// Accepted modules run through both execution tiers.
     pub differential_runs: u64,
     /// Accepted C sources swept across pipeline configs (no-opt,
     /// standard, full-opt) with cross-config outcome comparison.
@@ -358,7 +358,7 @@ fn register_outcomes(module: &Module) -> Option<ExportOutcomes> {
 }
 
 /// Sweeps one accepted C source across the three `PipelineConfig`
-/// levels: each level's module runs all three execution tiers (they
+/// levels: each level's module runs both execution tiers (they
 /// must agree), and the register-tier outcomes are compared across
 /// levels — the optimiser may only change *cost*, never values or
 /// traps. Returns whether a full cross-level comparison happened.
@@ -408,7 +408,7 @@ fn sweep_pipelines(source: &str, sweep_engines: &[Engine; 3]) -> bool {
     true
 }
 
-/// Runs one accepted, import-free module through all three execution
+/// Runs one accepted, import-free module through both execution
 /// tiers under a fuel budget and asserts they agree on every export.
 ///
 /// # Panics
@@ -417,9 +417,8 @@ fn sweep_pipelines(source: &str, sweep_engines: &[Engine; 3]) -> bool {
 fn run_differential(module: &Module) -> bool {
     let mut ran = false;
     let exports = i64_exports(module);
-    let tiers: [Tier; 3] = [
+    let tiers: [Tier; 2] = [
         |s, h, f, a| s.call(h, f, a),
-        |s, h, f, a| s.call_stack(h, f, a),
         |s, h, f, a| s.call_tree(h, f, a),
     ];
     for (func_idx, arity) in exports {
@@ -435,10 +434,6 @@ fn run_differential(module: &Module) -> bool {
         }
         assert_eq!(
             outcomes[0], outcomes[1],
-            "register and stack tiers disagree on func {func_idx}"
-        );
-        assert_eq!(
-            outcomes[0], outcomes[2],
             "register and tree tiers disagree on func {func_idx}"
         );
         ran = true;

@@ -71,8 +71,8 @@ options:
                    run an exported function with i64 arguments
   --list-exports   print the exported functions and their signatures
   --dump-bytecode <fn>
-                   disassemble the flat bytecode of an exported function
-                   (pc, op, resolved branch targets)
+                   disassemble the register bytecode of an exported
+                   function (pc, op, resolved branch targets)
   --memory <pages> linear memory size in 64 KiB pages (default: 64)
   --opt            enable the full IR optimiser (CSE, load forwarding,
                    strength reduction, CFG simplify) on top of the

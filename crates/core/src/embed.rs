@@ -411,9 +411,9 @@ impl Artifact {
         list_exports(&self.module)
     }
 
-    /// Disassembles the flat bytecode the interpreter will execute for the
-    /// exported function `name` — program counters, ops and resolved
-    /// branch targets (the `cagec --dump-bytecode` backend).
+    /// Disassembles the register bytecode the interpreter will execute
+    /// for the exported function `name` — program counters, 3-address ops
+    /// and resolved branch targets (the `cagec --dump-bytecode` backend).
     ///
     /// Returns `None` when `name` is not an exported local function
     /// (imported host functions have no bytecode).
@@ -445,37 +445,6 @@ impl Artifact {
             });
         }
         Ok(rt.instantiate_linked(&self.module, self.heap_base, linker)?)
-    }
-
-    /// Instantiates on `core` with a fresh runtime and libc.
-    ///
-    /// # Errors
-    ///
-    /// Instantiation errors (e.g. sandbox-tag exhaustion).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Engine::instantiate` / `Engine::instantiate_with`"
-    )]
-    pub fn instantiate(&self, core: Core) -> Result<Instance, cage_runtime::RuntimeError> {
-        let mut rt = Runtime::new(self.variant, core);
-        let token = rt.instantiate_linked(&self.module, self.heap_base, &Linker::with_libc())?;
-        Ok(Instance::new(rt, token))
-    }
-
-    /// Instantiates into an existing runtime (multi-instance processes).
-    ///
-    /// # Errors
-    ///
-    /// Instantiation errors.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Artifact::instantiate_into` with a `Linker`"
-    )]
-    pub fn instantiate_in(
-        &self,
-        rt: &mut Runtime,
-    ) -> Result<InstanceToken, cage_runtime::RuntimeError> {
-        rt.instantiate_linked(&self.module, self.heap_base, &Linker::with_libc())
     }
 }
 

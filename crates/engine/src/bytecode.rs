@@ -1,8 +1,21 @@
-//! Bytecode lowerings: the execution forms of a function body.
+//! Bytecode lowerings: the execution form of a function body.
 //!
 //! The structured `cage_wasm::Instr` tree is what the validator and the
-//! toolchain passes consume; at instantiation each body is lowered into
-//! two flat forms:
+//! toolchain passes consume; at instantiation each body is lowered once,
+//! into register bytecode:
+//!
+//! * **Register bytecode** ([`RegOp`] / [`RegCode`], built by
+//!   [`compile_reg`]): the engine's only execution form. The body is
+//!   lowered through SSA construction (`cage_ir::ssa`, Braun-style) into
+//!   virtual registers, phis are eliminated with parallel copies, and a
+//!   linear scan (`cage_ir::regalloc`) assigns every value a slot in a
+//!   fixed per-frame register file. Stack shuffling disappears by
+//!   construction: `local.get`/`local.set`/`local.tee`, constants, `drop`
+//!   and `nop` dissolve into the dataflow, and each remaining dispatch is
+//!   a generic 3-address operation. Cycle accounting stays bit-identical
+//!   to the tree oracle because every register op carries a *charge
+//!   recipe* — the class charges of the source ops it retired, in
+//!   original order — replayed by the dispatch loop before the op body.
 //!
 //! * **Flat stack bytecode** ([`Op`] / [`FlatCode`], built by
 //!   [`compile`]): a direct transcription of the stack machine with
@@ -10,22 +23,10 @@
 //!   `If` disappear; every branch carries a [`BranchTarget`] collapse
 //!   descriptor `(pc, stack height, arity)`; the skip over an `else` arm
 //!   is a synthetic [`Op::Jump`] and the function epilogue a synthetic
-//!   [`Op::End`] — neither charges cycles nor retires an instruction.
-//!   Since the register tier took over the hot path this form survives as
-//!   the mid-tier differential oracle (tree → flat-stack → flat-reg).
-//!
-//! * **Register bytecode** ([`RegOp`] / [`RegCode`], built by
-//!   [`compile_reg`]): the primary tier. The body is lowered through
-//!   SSA construction (`cage_ir::ssa`, Braun-style) into virtual
-//!   registers, phis are eliminated with parallel copies, and a linear
-//!   scan (`cage_ir::regalloc`) assigns every value a slot in a fixed
-//!   per-frame register file. Stack shuffling disappears by
-//!   construction: `local.get`/`local.set`/`local.tee`, constants,
-//!   `drop` and `nop` dissolve into the dataflow, and each remaining
-//!   dispatch is a generic 3-address operation. Cycle accounting stays
-//!   bit-identical to the stack forms because every register op carries a
-//!   *charge recipe* — the class charges of the source ops it retired, in
-//!   original order — replayed by the dispatch loop before the op body.
+//!   [`Op::End`]. No engine path executes it: it is a lowering only, kept
+//!   for measurement and as the baseline the register stream is compared
+//!   against. Its data ops ([`flat_op`]) are the vocabulary that
+//!   `RegOp::Bridge` and the tree oracle execute through `exec_op`.
 //!
 //! Statically unreachable code (anything following an unconditional
 //! branch inside a block) is never emitted by the stack lowering, and the
@@ -268,7 +269,7 @@ impl AluOp {
 /// (divide-by-zero, `INT_MIN / -1` overflow) and the whole family
 /// charges the `Div`/`FloatDiv` class instead of `Simple`/`Float`. The
 /// charge lands in the op's recipe — replayed before the operands are
-/// even read, matching the stack tiers, which charge before the trap
+/// even read, matching the tree oracle, which charges before the trap
 /// checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
@@ -511,20 +512,12 @@ pub enum Op {
     I64Extend32S,
 }
 
-/// A function body compiled to flat bytecode, always `End`-terminated.
+/// A function body compiled to flat stack bytecode, always
+/// `End`-terminated.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlatCode {
     /// The flat instruction array.
     pub ops: Box<[Op]>,
-    /// Pre-resolved handler index per op (parallel to `ops`): resolved
-    /// once at lowering time by [`crate::interp::handler_index`]. This is
-    /// the introspectable form of the dispatch resolution; `thread` is
-    /// its fn-pointer mirror, which the loop actually calls (a unit test
-    /// pins the two in sync).
-    pub handlers: Box<[u16]>,
-    /// The same handlers as direct fn pointers (parallel to `ops`), so
-    /// the dispatch loop is one load plus one indirect call per op.
-    pub(crate) thread: Box<[crate::interp::Handler]>,
 }
 
 /// Maps a non-control instruction to its flat op.
@@ -759,7 +752,8 @@ struct Compiler<'m> {
     ctrl: Vec<CtrlFrame>,
 }
 
-/// Lowers a validated function body to flat bytecode.
+/// Lowers a validated function body to flat stack bytecode. No engine
+/// path executes this form; see the module docs.
 ///
 /// `results` is the function's result count — the arity of branches that
 /// target the function label and of the epilogue collapse.
@@ -820,17 +814,8 @@ pub fn try_compile(
         c.apply_patch(&p, end);
     }
     c.ops.push(Op::End);
-    // Resolve each op's dispatch handler once, after patching settled
-    // the final op array.
-    let handlers: Box<[u16]> = c.ops.iter().map(crate::interp::handler_index).collect();
-    let thread = handlers
-        .iter()
-        .map(|&i| crate::interp::handler_for_index(i))
-        .collect();
     Ok(FlatCode {
         ops: c.ops.into_boxed_slice(),
-        handlers,
-        thread,
     })
 }
 
@@ -1097,39 +1082,8 @@ impl fmt::Display for Op {
     }
 }
 
-/// Disassembles the flat *stack* bytecode of function `func_idx` (joint
-/// index space) of a validated module — the mid-tier lowering. The
-/// primary `cagec --dump-bytecode` backend is [`disassemble`], which
-/// renders the register form.
-///
-/// Returns `None` when the index is out of range or names an imported
-/// host function (imports have no bytecode).
-#[must_use]
-pub fn disassemble_stack(module: &Module, func_idx: u32) -> Option<String> {
-    use std::fmt::Write as _;
-
-    let imported = module.imported_func_count();
-    let local = func_idx.checked_sub(imported)?;
-    let func = module.funcs.get(local as usize)?;
-    let ty = module.types.get(func.type_idx as usize)?;
-    let code = compile(module, ty.results.len(), &func.body);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "func {func_idx} (params {}, results {}, locals {}): {} ops",
-        ty.params.len(),
-        ty.results.len(),
-        func.locals.len(),
-        code.ops.len()
-    );
-    for (pc, op) in code.ops.iter().enumerate() {
-        let _ = writeln!(out, "  {pc:04}: {op}");
-    }
-    Some(out)
-}
-
 // ===========================================================================
-// Register bytecode (primary tier)
+// Register bytecode
 // ===========================================================================
 
 /// Cycle-charge class of one retired source instruction.
@@ -1138,7 +1092,7 @@ pub fn disassemble_stack(module: &Module, func_idx: u32) -> Option<String> {
 /// `tee`, constants, `drop`, `nop`) into the dataflow, so a single
 /// [`RegOp`] can retire several source instructions. To keep cycle
 /// accounting and retired-instruction counts byte-for-byte identical to
-/// the stack tiers, every register op carries a *charge recipe*: the
+/// the tree oracle, every register op carries a *charge recipe*: the
 /// class tags of its constituent source ops in original program order.
 /// The dispatch loop replays the recipe — one charge per tag — before
 /// running the op body, so a trap inside the op leaves exactly the
@@ -1283,7 +1237,7 @@ pub struct RegCallIndirect {
 /// (`exec_op`): globals, memory management, segments, pointer sign/auth
 /// and `unreachable`. The bridge stages `args` into a
 /// scratch operand stack, runs the op (which does its own internal
-/// charging, exactly as the stack tiers do), and moves the result to
+/// charging, exactly as on the tree oracle), and moves the result to
 /// `ret`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegBridge {
@@ -1795,10 +1749,9 @@ impl<'m> RegCompiler<'m> {
                     self.b.seal_block(t);
                     if self.lower_seq(then_body) {
                         // Reachable then-arm end: jump over the else arm
-                        // into the join. The jump itself is free (the
-                        // stack tier's synthetic `Op::Jump`), so no
-                        // branch tag — only the pending charges ride on
-                        // it.
+                        // into the join. The jump itself is free (wasm
+                        // has no instruction for it), so no branch tag —
+                        // only the pending charges ride on it.
                         self.edge(x);
                         let frame = self.ctrl.last().expect("if frame");
                         let phis = frame.end_phis.clone();
@@ -2114,8 +2067,8 @@ pub fn try_compile_reg(
     fuel: &cage_wasm::CompileFuel,
 ) -> Result<RegCode, cage_wasm::LimitError> {
     let stats = check_body_budget(body, limits)?;
-    // SSA lowering does strictly more work per op than the stack tier:
-    // charge double.
+    // Each op is visited twice — once to build the SSA CFG, once more
+    // through liveness, slot assignment and emission: charge double.
     fuel.charge(stats.ops as u64 * 2)?;
     let mut c = RegCompiler {
         module,
@@ -2147,8 +2100,8 @@ pub fn try_compile_reg(
         }
     }
     // The function label: a join block whose phis are the results; its
-    // terminator is the epilogue return, which (like the stack tier's
-    // synthetic `Op::End`) charges nothing. Explicit `return`s bypass it.
+    // terminator is the epilogue return, which (like falling off the end
+    // of a wasm body) charges nothing. Explicit `return`s bypass it.
     let ret_block = c.new_block();
     let ret_phis: Vec<ssa::Value> = (0..ty.results.len())
         .map(|_| c.b.new_phi(ret_block))
@@ -2689,8 +2642,8 @@ fn charge_letter(tag: ChargeTag) -> char {
 }
 
 /// Disassembles the register bytecode of function `func_idx` (joint
-/// index space) of a validated module — the primary tier, and the
-/// backend of `cagec --dump-bytecode`. Register names show the linear
+/// index space) of a validated module — the form the engine executes,
+/// and the backend of `cagec --dump-bytecode`. Register names show the linear
 /// scan's hot/spill split (`r0..` hot, `s0..` spill); each op's charge
 /// recipe is appended as `; charges <letters>` in retired-source order.
 ///
@@ -3001,10 +2954,9 @@ mod tests {
     fn branchy_memory_bodies_execute_bit_identically_across_tiers() {
         // A branch-heavy body with memory traffic, value-carrying block
         // exits, a loop back-edge and a br_table landing just past its
-        // own terminator. All three execution tiers — register bytecode
-        // (the default `call`), flat stack bytecode (`call_stack`) and
-        // the tree oracle (`call_tree`) — must agree bit-for-bit on
-        // results, cycle bits and retired counts, for branch-taken and
+        // own terminator. Register bytecode (the default `call`) and the
+        // tree oracle (`call_tree`) must agree bit-for-bit on results,
+        // cycle bits and retired counts, for branch-taken and
         // fall-through arguments alike.
         use crate::config::ExecConfig;
         use crate::host::Imports;
@@ -3083,62 +3035,24 @@ mod tests {
             let rh = reg
                 .instantiate(&module, &Imports::new())
                 .expect("instantiates");
-            let mut flat = Store::new(ExecConfig::default());
-            let fh = flat
-                .instantiate(&module, &Imports::new())
-                .expect("instantiates");
             let mut tree = Store::new(ExecConfig::default());
             let th = tree
                 .instantiate(&module, &Imports::new())
                 .expect("instantiates");
             let args = [Value::I64(arg)];
             let r = reg.call(rh, 0, &args);
-            let f = flat.call_stack(fh, 0, &args);
             let t = tree.call_tree(th, 0, &args);
-            assert_eq!(r, f, "arg {arg}: register vs stack outcome");
-            assert_eq!(f, t, "arg {arg}: stack vs oracle outcome");
+            assert_eq!(r, t, "arg {arg}: register vs oracle outcome");
             assert_eq!(
                 reg.cycles(rh).to_bits(),
                 tree.cycles(th).to_bits(),
                 "arg {arg}: register cycle bits"
             );
             assert_eq!(
-                flat.cycles(fh).to_bits(),
-                tree.cycles(th).to_bits(),
-                "arg {arg}: stack cycle bits"
-            );
-            assert_eq!(
                 reg.instr_count(rh),
                 tree.instr_count(th),
                 "arg {arg}: register retired counts"
             );
-            assert_eq!(
-                flat.instr_count(fh),
-                tree.instr_count(th),
-                "arg {arg}: stack retired counts"
-            );
-        }
-    }
-
-    #[test]
-    fn handler_indices_and_thread_pointers_stay_in_sync() {
-        // `handlers` is the introspectable per-op dispatch resolution;
-        // `thread` is its fn-pointer mirror the loop actually calls.
-        // They are built from the same resolver — pin that.
-        let code = compile_mem_body(vec![
-            Instr::LocalGet(1),
-            Instr::Load(LoadOp::I64Load, cage_wasm::MemArg::none()),
-            Instr::LocalSet(2),
-            Instr::LocalGet(0),
-        ]);
-        assert_eq!(code.handlers.len(), code.ops.len());
-        assert_eq!(code.thread.len(), code.ops.len());
-        for (i, op) in code.ops.iter().enumerate() {
-            assert_eq!(code.handlers[i], crate::interp::handler_index(op));
-            assert!(std::ptr::fn_addr_eq(
-                code.thread[i],
-                crate::interp::handler_for_index(code.handlers[i])
-            ));
         }
     }
 
@@ -3160,9 +3074,9 @@ mod tests {
 
     #[test]
     fn reg_handler_indices_and_thread_pointers_stay_in_sync() {
-        // Same invariant as the stack tier: `handlers` is the
-        // introspectable per-op resolution, `thread` the fn-pointer
-        // mirror the register loop actually calls.
+        // `handlers` is the introspectable per-op dispatch resolution;
+        // `thread` is its fn-pointer mirror the loop actually calls.
+        // They are built from the same resolver — pin that.
         let code = compile_reg_body(vec![
             Instr::LocalGet(1),
             Instr::Load(LoadOp::I64Load, cage_wasm::MemArg::none()),
@@ -3301,10 +3215,10 @@ mod tests {
             ],
         );
         let module = b.build();
-        let text = disassemble_stack(&module, 0).expect("local function");
-        assert!(text.contains("br_if \u{2192}0003"), "{text}");
-        assert!(text.contains("0004: end"), "{text}");
-        assert!(disassemble_stack(&module, 9).is_none());
+        let code = compile(&module, 1, &module.funcs[0].body);
+        let text: Vec<String> = code.ops.iter().map(ToString::to_string).collect();
+        assert_eq!(text[2], "br_if \u{2192}0003 (h=0, a=0)", "{text:?}");
+        assert_eq!(text[4], "end", "{text:?}");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use cage_pac::{PacKey, PacSigner, PointerLayout};
 use cage_wasm::{validate, FuncType, ImportKind, Module, ValType, ValidationError};
 use rand::{Rng, SeedableRng};
 
-use crate::bytecode::{self, FlatCode, RegCode};
+use crate::bytecode::{self, RegCode};
 use crate::config::{BoundsCheckStrategy, ExecConfig, InternalSafety};
 use crate::cost::CostModel;
 use crate::host::{HostFunc, Imports};
@@ -119,7 +119,7 @@ pub struct InstanceLimits {
 }
 
 /// A function precompiled at instantiation: resolved type, local
-/// declarations and flat bytecode, shared behind an `Arc` so the
+/// declarations and register bytecode, shared behind an `Arc` so the
 /// interpreter's call path never deep-clones anything and pre-compiled
 /// templates ([`Precompiled`]) can cross threads.
 #[derive(Debug)]
@@ -129,12 +129,8 @@ pub(crate) struct CompiledFunc {
     pub(crate) ty: Arc<FuncType>,
     /// Declared locals (after the parameters). Empty for host functions.
     pub(crate) locals: Vec<ValType>,
-    /// Flat stack bytecode lowered from the structured body — branch
-    /// targets resolved to pc offsets, block arities baked into collapse
-    /// descriptors. Empty for host functions.
-    pub(crate) code: FlatCode,
-    /// Register bytecode lowered through SSA — the primary tier
-    /// ([`Store::call`] dispatches it). Empty for host functions.
+    /// Register bytecode lowered through SSA — what [`Store::call`]
+    /// dispatches. Empty for host functions.
     pub(crate) reg: RegCode,
     /// Whether this index dispatches to an imported host function.
     pub(crate) is_host: bool,
@@ -145,8 +141,8 @@ pub(crate) struct CompiledFunc {
 type CompiledTables = (Vec<Arc<FuncType>>, Vec<Arc<CompiledFunc>>);
 
 /// Precompiles every function in `module`'s joint index space (imports
-/// first, then local functions) down to flat bytecode, plus the shared
-/// type table.
+/// first, then local functions) down to register bytecode — one lowering
+/// per body — plus the shared type table.
 fn precompile(
     module: &Module,
     limits: &cage_wasm::CompileLimits,
@@ -158,19 +154,16 @@ fn precompile(
         funcs.push(Arc::new(CompiledFunc {
             ty: Arc::clone(&types[type_idx as usize]),
             locals: Vec::new(),
-            code: FlatCode::default(),
             reg: RegCode::default(),
             is_host: true,
         }));
     }
     for f in &module.funcs {
         let ty = Arc::clone(&types[f.type_idx as usize]);
-        let code = bytecode::try_compile(module, ty.results.len(), &f.body, limits, fuel)?;
         let reg = bytecode::try_compile_reg(module, &ty, f.locals.len(), &f.body, limits, fuel)?;
         funcs.push(Arc::new(CompiledFunc {
             ty,
             locals: f.locals.clone(),
-            code,
             reg,
             is_host: false,
         }));
@@ -179,7 +172,7 @@ fn precompile(
 }
 
 /// A validated, fully precompiled module template: the compile-once half
-/// of instantiation (validation, flat-bytecode lowering, type-table
+/// of instantiation (validation, register-bytecode lowering, type-table
 /// resolution), separated from the per-instance half (memory, globals,
 /// tables, keys). `Send + Sync` — build it once, share it across worker
 /// threads, and stamp instances out of it via
@@ -192,7 +185,7 @@ pub struct Precompiled {
 }
 
 impl Precompiled {
-    /// Validates and precompiles `module` down to flat bytecode, under
+    /// Validates and precompiles `module` down to register bytecode, under
     /// the default (generous) [`cage_wasm::CompileLimits`].
     ///
     /// # Errors
@@ -205,7 +198,7 @@ impl Precompiled {
 
     /// Like [`Precompiled::new`], but under caller-chosen compile
     /// limits. One fuel budget covers the whole module: validation
-    /// pre-scans plus both bytecode tiers for every function.
+    /// pre-scans plus the register lowering of every function.
     ///
     /// # Errors
     ///
@@ -438,11 +431,10 @@ impl Store {
                         )));
                     }
                 }
-                let scheme = if self.config.mte_active() {
-                    self.tag_scheme()?
-                } else {
-                    TagScheme::None
-                };
+                // Software internal safety tags segments too (checked in
+                // software, not by MTE), so every enabled configuration
+                // takes its scheme from `tag_scheme`.
+                let scheme = self.tag_scheme()?;
                 let mode = if self.config.mte_active() {
                     self.config.mte_mode
                 } else {
@@ -585,7 +577,7 @@ impl Store {
         self.call(handle, func_idx, args)
     }
 
-    /// Calls a function by index on the register tier (the primary
+    /// Calls a function by index on the register tier (the engine's
     /// execution path: SSA-lowered 3-address bytecode over a per-frame
     /// register file).
     ///
@@ -611,36 +603,10 @@ impl Store {
         Ok(results)
     }
 
-    /// Calls a function by index through the flat *stack* bytecode tier
-    /// — the previous primary path, kept as a differential-testing
-    /// reference alongside the tree oracle. Mirrors [`Store::call`]
-    /// exactly, including surfacing of deferred asynchronous MTE faults.
-    /// Not part of the supported embedder API.
-    ///
-    /// # Errors
-    ///
-    /// Propagates traps, exactly as [`Store::call`] does.
-    #[doc(hidden)]
-    pub fn call_stack(
-        &mut self,
-        handle: InstanceHandle,
-        func_idx: u32,
-        args: &[Value],
-    ) -> Result<Vec<Value>, Trap> {
-        let mut interp = Interp::new(self, handle.0);
-        let results = interp.call_function(func_idx, args)?;
-        if let Some(mem) = self.instances[handle.0].memory.as_mut() {
-            if let Some(fault) = mem.take_async_fault() {
-                return Err(Trap::AsyncTagCheck(fault));
-            }
-        }
-        Ok(results)
-    }
-
     /// Calls a function by index through the structured tree walker — the
-    /// pre-flat-bytecode interpreter kept as the differential-testing
-    /// oracle (the in-crate difftest and the trap-matrix integration test
-    /// compare it against the threaded dispatcher). Mirrors
+    /// pre-bytecode interpreter kept as the differential-testing oracle
+    /// (the in-crate difftest and the trap-matrix integration test
+    /// compare it against the register dispatcher). Mirrors
     /// [`Store::call`] exactly, including surfacing of deferred
     /// asynchronous MTE faults. Not part of the supported embedder API.
     #[doc(hidden)]
@@ -691,7 +657,7 @@ impl Store {
     ///
     /// Fuel is a deterministic preemption mechanism for multi-tenant
     /// serving: one unit is consumed at every control transition of the
-    /// flat dispatch loop (branch taken, function entered or returned
+    /// register dispatch loop (branch taken, function entered or returned
     /// from), and execution traps with [`Trap::FuelExhausted`] when the
     /// budget hits zero — at the identical instruction count and cycle
     /// bits on every run of the same program. Fuel checks ride on the
@@ -924,6 +890,78 @@ mod tests {
         b.build()
     }
 
+    /// Software internal safety tags segments like MTE does (only the
+    /// checks are charged in software), so a live segment frees cleanly
+    /// and a second free through the same pointer is a double free — on
+    /// the register tier and the tree oracle alike.
+    #[test]
+    fn software_internal_safety_frees_live_segments_and_traps_double_free() {
+        use crate::trap::SegmentFaultReason;
+        let mut b = ModuleBuilder::new();
+        b.add_memory64(1);
+        // new_and_free(len) -> tagged: segment.new(64, len), then free it.
+        let new_and_free = b.add_function(
+            &[ValType::I64],
+            &[ValType::I64],
+            &[ValType::I64],
+            vec![
+                Instr::I64Const(64),
+                Instr::LocalGet(0),
+                Instr::SegmentNew(0),
+                Instr::LocalSet(1),
+                Instr::LocalGet(1),
+                Instr::LocalGet(0),
+                Instr::SegmentFree(0),
+                Instr::LocalGet(1),
+            ],
+        );
+        // free(tagged, len): segment.free through a stale pointer.
+        let free = b.add_function(
+            &[ValType::I64, ValType::I64],
+            &[],
+            &[],
+            vec![
+                Instr::LocalGet(0),
+                Instr::LocalGet(1),
+                Instr::SegmentFree(0),
+            ],
+        );
+        let module = b.build();
+        let config = ExecConfig {
+            internal: InternalSafety::Software,
+            ..ExecConfig::default()
+        };
+        for tree in [false, true] {
+            let mut store = Store::new(config);
+            let h = store.instantiate(&module, &Imports::new()).unwrap();
+            let call = |store: &mut Store, f: u32, args: &[Value]| {
+                if tree {
+                    store.call_tree(h, f, args)
+                } else {
+                    store.call(h, f, args)
+                }
+            };
+            let out = call(&mut store, new_and_free, &[Value::I64(32)]);
+            let Ok(out) = out else {
+                panic!("tree={tree}: freeing a live segment trapped: {out:?}");
+            };
+            let tagged = out[0].as_i64();
+            assert_ne!(
+                tagged >> 56,
+                0,
+                "tree={tree}: segment pointer carries a tag"
+            );
+            assert_eq!(
+                call(&mut store, free, &[Value::I64(tagged), Value::I64(32)]),
+                Err(Trap::SegmentFault {
+                    addr: 64,
+                    reason: SegmentFaultReason::BadFree,
+                }),
+                "tree={tree}: second free"
+            );
+        }
+    }
+
     #[test]
     fn instantiate_and_invoke() {
         let mut store = Store::new(ExecConfig::default());
@@ -1003,6 +1041,35 @@ mod tests {
         assert!(matches!(err, Trap::Host(_)), "{err}");
         let err = store.invoke(h, "call_arity", &[]).unwrap_err();
         assert!(matches!(err, Trap::Host(_)), "{err}");
+    }
+
+    #[test]
+    fn host_function_as_entry_point_runs_inline_within_the_depth_limit() {
+        use crate::host::HostFunc;
+        let mut b = ModuleBuilder::new();
+        b.import_func("env", "double", &[ValType::I64], &[ValType::I64]);
+        let module = b.build();
+        let mut imports = Imports::new();
+        imports.define(
+            "env",
+            "double",
+            HostFunc::new(&[ValType::I64], &[ValType::I64], |_, args| {
+                Ok(vec![Value::I64(args[0].as_i64() * 2)])
+            }),
+        );
+        for (max_call_depth, want) in [
+            (None, Ok(vec![Value::I64(42)])),
+            (Some(0), Err(Trap::CallStackExhausted)),
+        ] {
+            let mut store = Store::new(ExecConfig::default());
+            store.set_default_limits(InstanceLimits {
+                max_call_depth,
+                ..InstanceLimits::default()
+            });
+            let h = store.instantiate(&module, &imports).unwrap();
+            assert_eq!(store.call(h, 0, &[Value::I64(21)]), want);
+            assert_eq!(store.call_tree(h, 0, &[Value::I64(21)]), want);
+        }
     }
 
     #[test]

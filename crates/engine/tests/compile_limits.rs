@@ -116,6 +116,51 @@ fn compile_fuel_budget_is_enforced_across_functions() {
     }
 }
 
+/// Precompilation lowers each body exactly once, to register bytecode,
+/// which charges two units of fuel per body op. So a module precompiles
+/// under exactly its validation fuel plus `2 × Σ ops` and fails with one
+/// unit less.
+#[test]
+fn precompile_charges_validation_plus_two_units_per_body_op() {
+    let mut b = ModuleBuilder::new();
+    for i in 0..4 {
+        let body = vec![
+            Instr::LocalGet(0),
+            Instr::I64Const(i),
+            Instr::I64Add,
+            Instr::Block(
+                BlockType::Value(ValType::I64),
+                vec![Instr::LocalGet(0), Instr::I64Const(3), Instr::I64Mul],
+            ),
+            Instr::I64Add,
+        ];
+        b.add_function(&[ValType::I64], &[ValType::I64], &[], body);
+    }
+    let module = b.build();
+
+    let generous = CompileLimits::generous();
+    let probe = generous.fuel();
+    cage_wasm::validate_with_limits(&module, &generous, &probe).expect("validates");
+    let validation = generous.max_compile_fuel - probe.remaining();
+    assert!(validation > 0, "validation charges fuel");
+    let body_ops: u64 = module
+        .funcs
+        .iter()
+        .map(|f| cage_wasm::limits::body_stats(&f.body, usize::MAX).ops as u64)
+        .sum();
+    let exact = validation + 2 * body_ops;
+
+    let with_fuel = |max_compile_fuel| CompileLimits {
+        max_compile_fuel,
+        ..generous
+    };
+    Precompiled::with_limits(&module, &with_fuel(exact)).expect("fits the exact budget");
+    match Precompiled::with_limits(&module, &with_fuel(exact - 1)) {
+        Err(InstantiateError::CompileLimit(l)) => assert_eq!(l.what, "compile fuel"),
+        other => panic!("expected a compile-fuel limit one unit short, got {other:?}"),
+    }
+}
+
 #[test]
 fn ssa_value_budget_is_enforced() {
     // Distinct constants and a running sum: the SSA builder interns

@@ -2,18 +2,16 @@
 //!
 //! Every `LoadOp`/`StoreOp` width is executed at a matrix of addresses
 //! (in-bounds, granule-straddling, exactly-at-end, one-past-end, far
-//! out-of-bounds) under all four tag schemes, through three execution
+//! out-of-bounds) under all four tag schemes, through both execution
 //! tiers:
 //!
-//! * the **register tier** (`Store::call`, the primary path): SSA
+//! * the **register tier** (`Store::call`, the engine's path): SSA
 //!   construction and linear-scan slot assignment lower the body to
 //!   generic 3-address ops over a per-frame register file;
-//! * the **stack tier** (`Store::call_stack`): the flat stack bytecode
-//!   the register machine replaced, kept as a differential reference;
-//! * the **tree oracle** (`Store::call_tree`): the pre-flat structured
-//!   walker.
+//! * the **tree oracle** (`Store::call_tree`): the pre-bytecode
+//!   structured walker.
 //!
-//! All three must agree on the trap kind *and payload*, and — because
+//! Both must agree on the trap kind *and payload*, and — because
 //! each register op replays its retired source ops' cycle charges in
 //! original order — on the cycle-counter bits and retired-instruction
 //! counts too.
@@ -21,9 +19,8 @@
 //! Separate `FuelExhausted` and `EpochInterrupt` rows pin deterministic
 //! preemption: the same program under the same fuel budget (or an
 //! already-due epoch deadline) traps at the identical instruction count
-//! and cycle bits, across runs, across lowerings of the same loop, and
-//! across the register and stack tiers — and where both expire at once,
-//! fuel wins.
+//! and cycle bits, across runs and across lowerings of the same loop —
+//! and where both expire at once, fuel wins.
 
 use cage_engine::{BoundsCheckStrategy, ExecConfig, Imports, InternalSafety, Store, Trap, Value};
 use cage_wasm::builder::ModuleBuilder;
@@ -205,7 +202,6 @@ enum Expect {
 #[derive(Clone, Copy, Debug)]
 enum Tier {
     Reg,
-    Stack,
     Tree,
 }
 
@@ -223,14 +219,13 @@ fn run_path(
     let args = [Value::I64(addr as i64)];
     let result = match tier {
         Tier::Reg => store.call(h, func, &args),
-        Tier::Stack => store.call_stack(h, func, &args),
         Tier::Tree => store.call_tree(h, func, &args),
     };
     (result, store.cycles(h).to_bits(), store.instr_count(h))
 }
 
 #[test]
-fn every_width_addr_and_scheme_agrees_across_all_three_tiers() {
+fn every_width_addr_and_scheme_agrees_across_both_tiers() {
     let accesses: Vec<Access> = ALL_LOADS
         .iter()
         .map(|&l| Access::Load(l))
@@ -242,22 +237,20 @@ fn every_width_addr_and_scheme_agrees_across_all_three_tiers() {
             for (case, addr, expect) in addr_cases(access.width()) {
                 let cell = format!("{access:?} @ {case} under {scheme}");
                 let reg = run_path(config, &module, 0, addr, Tier::Reg);
-                let stack = run_path(config, &module, 0, addr, Tier::Stack);
                 let tree = run_path(config, &module, 0, addr, Tier::Tree);
 
-                // Register tier vs stack tier vs tree oracle: identical
-                // outcome (trap kind and payload), cycle bits and retired
-                // instructions — same function, so everything must match.
-                assert_eq!(reg, stack, "{cell}: register tier vs stack tier");
+                // Register tier vs tree oracle: identical outcome (trap
+                // kind and payload), cycle bits and retired instructions
+                // — same function, so everything must match.
                 assert_eq!(reg, tree, "{cell}: register tier vs tree oracle");
 
                 // The fenced lowering of the same access, through both
-                // flat tiers: same everything again.
+                // tiers: same everything again.
                 let fenced = run_path(config, &module, 1, addr, Tier::Reg);
-                let fenced_stack = run_path(config, &module, 1, addr, Tier::Stack);
+                let fenced_tree = run_path(config, &module, 1, addr, Tier::Tree);
                 assert_eq!(
-                    fenced, fenced_stack,
-                    "{cell}: fenced body diverged between register and stack tiers"
+                    fenced, fenced_tree,
+                    "{cell}: fenced body diverged between register tier and tree oracle"
                 );
 
                 // Adjacent vs fenced: same trap kind and payload.
@@ -291,10 +284,9 @@ fn every_width_addr_and_scheme_agrees_across_all_three_tiers() {
 /// only at the charge-free control transitions (back-edge jumps,
 /// function switches, returns), so the same program under the same
 /// budget must trap at the identical retired-instruction count, cycle
-/// bits and consumed-fuel total — across repeated runs, across the
-/// adjacent vs block-fenced lowering of the same loop body, AND across
-/// the register and stack tiers. A scheduler preempting tenants by fuel
-/// therefore cannot perturb the cycle model.
+/// bits and consumed-fuel total — across repeated runs and across the
+/// adjacent vs block-fenced lowering of the same loop body. A scheduler
+/// preempting tenants by fuel therefore cannot perturb the cycle model.
 #[test]
 fn fuel_exhaustion_is_deterministic_across_runs_and_lowerings() {
     // func 0: an infinite increment loop whose body lowers to a single
@@ -333,18 +325,13 @@ fn fuel_exhaustion_is_deterministic_across_runs_and_lowerings() {
     assert_eq!((a, f), (0, 1));
     let module = b.build();
 
-    let run = |func: u32, budget: u64, stack: bool| {
+    let run = |func: u32, budget: u64| {
         let mut store = Store::new(ExecConfig::default());
         let h = store
             .instantiate(&module, &Imports::new())
             .expect("instantiates");
         store.set_fuel(h, Some(budget));
-        let args = [Value::I64(0)];
-        let result = if stack {
-            store.call_stack(h, func, &args)
-        } else {
-            store.call(h, func, &args)
-        };
+        let result = store.call(h, func, &[Value::I64(0)]);
         (
             result,
             store.cycles(h).to_bits(),
@@ -355,26 +342,16 @@ fn fuel_exhaustion_is_deterministic_across_runs_and_lowerings() {
     };
 
     for budget in [1u64, 2, 3, 10, 1_000] {
-        let first = run(0, budget, false);
+        let first = run(0, budget);
         assert_eq!(
             first,
-            run(0, budget, false),
+            run(0, budget),
             "budget {budget}: fuel trap is not reproducible across runs"
         );
         assert_eq!(
             first,
-            run(1, budget, false),
+            run(1, budget),
             "budget {budget}: fuel trap diverged between adjacent and fenced lowering"
-        );
-        assert_eq!(
-            first,
-            run(0, budget, true),
-            "budget {budget}: fuel trap diverged between register and stack tiers"
-        );
-        assert_eq!(
-            first,
-            run(1, budget, true),
-            "budget {budget}: fenced fuel trap diverged between register and stack tiers"
         );
         assert_eq!(
             first.0,
@@ -430,8 +407,8 @@ fn fuel_covers_straight_line_bodies_at_the_outermost_return() {
 /// The `EpochInterrupt` row: epoch preemption rides the same charge-free
 /// control transitions as fuel, so a deadline that is already due when
 /// the call starts must trap at the identical retired-instruction count
-/// and cycle bits — across repeated runs, across the adjacent vs fenced
-/// lowering, and across the register and stack tiers. An embedder thread
+/// and cycle bits — across repeated runs and across the adjacent vs
+/// fenced lowering. An embedder thread
 /// ticking the shared epoch can move *when* the trap fires in wall-clock
 /// time, but never *where* it lands in the cycle model.
 #[test]
@@ -472,7 +449,7 @@ fn epoch_interrupt_is_deterministic_across_runs_and_lowerings() {
     // `ticks` epochs elapse before the call, against a deadline of 1:
     // 0 ticks -> the deadline is still ahead and an infinite loop would
     // hang, so that case runs with fuel as a backstop instead (below).
-    let run = |func: u32, ticks: u64, stack: bool| {
+    let run = |func: u32, ticks: u64| {
         let mut store = Store::new(ExecConfig::default());
         let h = store
             .instantiate(&module, &Imports::new())
@@ -481,36 +458,21 @@ fn epoch_interrupt_is_deterministic_across_runs_and_lowerings() {
         for _ in 0..ticks {
             store.increment_epoch();
         }
-        let args = [Value::I64(0)];
-        let result = if stack {
-            store.call_stack(h, func, &args)
-        } else {
-            store.call(h, func, &args)
-        };
+        let result = store.call(h, func, &[Value::I64(0)]);
         (result, store.cycles(h).to_bits(), store.instr_count(h))
     };
 
     for ticks in [1u64, 2, 100] {
-        let first = run(0, ticks, false);
+        let first = run(0, ticks);
         assert_eq!(
             first,
-            run(0, ticks, false),
+            run(0, ticks),
             "ticks {ticks}: epoch trap is not reproducible across runs"
         );
         assert_eq!(
             first,
-            run(1, ticks, false),
+            run(1, ticks),
             "ticks {ticks}: epoch trap diverged between adjacent and fenced lowering"
-        );
-        assert_eq!(
-            first,
-            run(0, ticks, true),
-            "ticks {ticks}: epoch trap diverged between register and stack tiers"
-        );
-        assert_eq!(
-            first,
-            run(1, ticks, true),
-            "ticks {ticks}: fenced epoch trap diverged between register and stack tiers"
         );
         assert_eq!(
             first.0,
@@ -520,7 +482,7 @@ fn epoch_interrupt_is_deterministic_across_runs_and_lowerings() {
     }
     // However far past the deadline the epoch has advanced, the trap
     // lands at the same first preemption point: identical everything.
-    assert_eq!(run(0, 1, false), run(0, 100, false));
+    assert_eq!(run(0, 1), run(0, 100));
 }
 
 /// Where fuel and epoch expire at the same preemption point, fuel wins —
@@ -538,7 +500,7 @@ fn fuel_beats_epoch_when_both_expire_at_the_same_transition() {
     );
     let module = b.build();
 
-    let run = |fuel: Option<u64>, deadline_due: bool, stack: bool| {
+    let run = |fuel: Option<u64>, deadline_due: bool| {
         let mut store = Store::new(ExecConfig::default());
         let h = store
             .instantiate(&module, &Imports::new())
@@ -547,26 +509,20 @@ fn fuel_beats_epoch_when_both_expire_at_the_same_transition() {
         if deadline_due {
             store.set_epoch_deadline(h, Some(0));
         }
-        let result = if stack {
-            store.call_stack(h, 0, &[Value::I64(41)])
-        } else {
-            store.call(h, 0, &[Value::I64(41)])
-        };
+        let result = store.call(h, 0, &[Value::I64(41)]);
         (result, store.cycles(h).to_bits())
     };
 
-    for stack in [false, true] {
-        let fuel_only = run(Some(0), false, stack);
-        let epoch_only = run(None, true, stack);
-        let both = run(Some(0), true, stack);
-        assert_eq!(fuel_only.0, Err(Trap::FuelExhausted));
-        assert_eq!(epoch_only.0, Err(Trap::EpochInterrupt));
-        // Same preemption point, so the cycle model cannot tell the three
-        // apart; the trap kind is pinned to fuel when both are due.
-        assert_eq!(both.0, Err(Trap::FuelExhausted), "stack={stack}");
-        assert_eq!(fuel_only.1, epoch_only.1, "stack={stack}");
-        assert_eq!(fuel_only.1, both.1, "stack={stack}");
-    }
+    let fuel_only = run(Some(0), false);
+    let epoch_only = run(None, true);
+    let both = run(Some(0), true);
+    assert_eq!(fuel_only.0, Err(Trap::FuelExhausted));
+    assert_eq!(epoch_only.0, Err(Trap::EpochInterrupt));
+    // Same preemption point, so the cycle model cannot tell the three
+    // apart; the trap kind is pinned to fuel when both are due.
+    assert_eq!(both.0, Err(Trap::FuelExhausted));
+    assert_eq!(fuel_only.1, epoch_only.1);
+    assert_eq!(fuel_only.1, both.1);
 }
 
 /// The register lowering must dissolve the stack shuffles the retired
@@ -608,18 +564,25 @@ fn register_lowering_dissolves_stack_shuffles() {
         "fence leaked into the 3-address store:\n{fenced}"
     );
 
-    // The register stream is strictly shorter than the stack stream it
-    // replaced: the stack shuffles are gone, not renamed.
+    // The register stream is strictly shorter than the flat stack
+    // lowering of the same body: the stack shuffles are gone, not renamed.
     let reg_ops = cage_engine::disassemble(&module, 0)
         .expect("local function")
         .lines()
         .count()
         - 1;
-    let stack_ops = cage_engine::disassemble_stack(&module, 0)
-        .expect("local function")
-        .lines()
-        .count()
-        - 1;
+    let limits = cage_wasm::CompileLimits::default();
+    let func = &module.funcs[0];
+    let stack_ops = cage_engine::bytecode::try_compile(
+        &module,
+        module.types[func.type_idx as usize].results.len(),
+        &func.body,
+        &limits,
+        &limits.fuel(),
+    )
+    .expect("within limits")
+    .ops
+    .len();
     assert!(
         reg_ops < stack_ops,
         "register stream ({reg_ops} ops) not shorter than stack stream ({stack_ops} ops)"
