@@ -155,6 +155,7 @@ pub fn fig15_sweep() -> Vec<(Core, [f64; 3])> {
 }
 
 pub mod fuzz;
+pub mod regcode;
 
 /// Hot-path microbenchmark kernels, shared by the criterion bench
 /// (`benches/hotpath.rs`) and the `hotpath_json` summary binary so the

@@ -32,7 +32,7 @@
 //! branch inside a block) is never emitted by the stack lowering, and the
 //! register lowering only reaches it through unreachable join blocks.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use cage_ir::regalloc::{self, BlockRange, LivenessInput, ValueRef};
@@ -1510,15 +1510,25 @@ enum LTerm {
     Halt,
 }
 
+/// A charge recipe: the range `start..end` of [`RegCompiler::tags`].
+type Recipe = (u32, u32);
+
+/// The recipe of an op that charges nothing.
+const NO_RECIPE: Recipe = (0, 0);
+
 /// One lowered basic block: instructions plus terminator, each with its
 /// charge recipe, and the successor edges (mirrored into the SSA
-/// builder's predecessor lists).
+/// builder's predecessor lists). A block receives instructions and
+/// edges only while it is the current block, which it is exactly once,
+/// so both are contiguous ranges of the compiler's flat lists.
 #[derive(Debug, Default)]
 struct LBlock {
-    insts: Vec<(RInst, Vec<ChargeTag>)>,
+    /// Range of [`RegCompiler::insts`].
+    insts: (u32, u32),
     term: LTerm,
-    term_recipe: Vec<ChargeTag>,
-    succs: Vec<ssa::Block>,
+    term_recipe: Recipe,
+    /// Range of [`RegCompiler::succs`].
+    succs: (u32, u32),
 }
 
 /// One open control construct during register lowering. Every construct
@@ -1543,18 +1553,27 @@ struct RegCompiler<'m> {
     b: SsaBuilder,
     /// Lowered blocks, indexed by `ssa::Block` id.
     blocks: Vec<LBlock>,
+    /// Every block's instructions with their recipes, in layout order.
+    insts: Vec<(RInst, Recipe)>,
+    /// Every block's successors, in layout order.
+    succs: Vec<ssa::Block>,
+    /// The charge-tag pool every [`Recipe`] indexes; its tail from
+    /// `pending` on holds the tags of dissolved ops awaiting a carrier
+    /// instruction.
+    tags: Vec<ChargeTag>,
+    pending: u32,
     /// Emission order: blocks in the order control falls through them.
     layout: Vec<ssa::Block>,
     cur: ssa::Block,
     /// The abstract operand stack, holding SSA values.
     stack: Vec<ssa::Value>,
-    /// Charge tags of dissolved ops awaiting a carrier instruction.
-    pending: Vec<ChargeTag>,
     ctrl: Vec<RCtrlFrame>,
-    /// Constant pool: bits -> value id (shared across uses)...
-    const_ids: BTreeMap<u64, ssa::Value>,
-    /// ...and value id -> bits, for immediates and materialization.
-    const_val: BTreeMap<ssa::Value, u64>,
+    /// Constant pool: bits -> value id (shared across uses; lookups
+    /// only, never iterated)...
+    const_ids: HashMap<u64, ssa::Value>,
+    /// ...and value id -> bits, for immediates and materialization
+    /// (`None` past the end and for non-constants).
+    const_val: Vec<Option<u64>>,
 }
 
 impl<'m> RegCompiler<'m> {
@@ -1571,13 +1590,48 @@ impl<'m> RegCompiler<'m> {
     fn start_block(&mut self, blk: ssa::Block) {
         self.layout.push(blk);
         self.cur = blk;
+        let lb = &mut self.blocks[blk as usize];
+        lb.insts = (self.insts.len() as u32, self.insts.len() as u32);
+        lb.succs = (self.succs.len() as u32, self.succs.len() as u32);
+    }
+
+    fn insts_of(&self, blk: ssa::Block) -> &[(RInst, Recipe)] {
+        let (start, end) = self.blocks[blk as usize].insts;
+        &self.insts[start as usize..end as usize]
+    }
+
+    fn succs_of(&self, blk: ssa::Block) -> &[ssa::Block] {
+        let (start, end) = self.blocks[blk as usize].succs;
+        &self.succs[start as usize..end as usize]
+    }
+
+    fn recipe(&self, (start, end): Recipe) -> &[ChargeTag] {
+        &self.tags[start as usize..end as usize]
+    }
+
+    /// Queues the charge of a dissolved op for the next carrier.
+    fn charge(&mut self, tag: ChargeTag) {
+        self.tags.push(tag);
+    }
+
+    /// The pending tags as a recipe, leaving none pending.
+    fn take_pending(&mut self) -> Recipe {
+        let recipe = (self.pending, self.tags.len() as u32);
+        self.pending = recipe.1;
+        recipe
+    }
+
+    fn push_inst(&mut self, inst: RInst, recipe: Recipe) {
+        self.insts.push((inst, recipe));
+        self.blocks[self.cur as usize].insts.1 = self.insts.len() as u32;
     }
 
     /// Registers the CFG edge `cur -> to` (each `(pred, succ)` pair is
     /// registered at most once by construction).
     fn edge(&mut self, to: ssa::Block) {
         self.b.add_pred(to, self.cur);
-        self.blocks[self.cur as usize].succs.push(to);
+        self.succs.push(to);
+        self.blocks[self.cur as usize].succs.1 = self.succs.len() as u32;
     }
 
     fn const_value(&mut self, bits: u64) -> ssa::Value {
@@ -1586,46 +1640,51 @@ impl<'m> RegCompiler<'m> {
         }
         let v = self.b.new_value();
         self.const_ids.insert(bits, v);
-        self.const_val.insert(v, bits);
+        let at = v as usize;
+        if self.const_val.len() <= at {
+            self.const_val.resize(at + 1, None);
+        }
+        self.const_val[at] = Some(bits);
         v
     }
 
+    /// The bits of `v` when it is a pooled constant.
+    fn const_of(&self, v: ssa::Value) -> Option<u64> {
+        self.const_val.get(v as usize).copied().flatten()
+    }
+
     fn emit(&mut self, inst: RInst, tag: ChargeTag) {
-        let mut recipe = std::mem::take(&mut self.pending);
-        recipe.push(tag);
-        self.blocks[self.cur as usize].insts.push((inst, recipe));
+        let recipe = self.branch_recipe(tag);
+        self.push_inst(inst, recipe);
     }
 
     /// Emits a bridge, whose recipe is the pending tags only (`exec_op`
     /// does the op's own charging internally).
     fn emit_bridge(&mut self, inst: RInst) {
-        let recipe = std::mem::take(&mut self.pending);
-        self.blocks[self.cur as usize].insts.push((inst, recipe));
+        let recipe = self.take_pending();
+        self.push_inst(inst, recipe);
     }
 
     /// Pins pending charges on a [`RInst::Flush`] before a point where
     /// control can leave the block without a terminator op.
     fn flush_pending(&mut self) {
-        if !self.pending.is_empty() {
-            let recipe = std::mem::take(&mut self.pending);
-            self.blocks[self.cur as usize]
-                .insts
-                .push((RInst::Flush, recipe));
+        if self.pending as usize != self.tags.len() {
+            let recipe = self.take_pending();
+            self.push_inst(RInst::Flush, recipe);
         }
     }
 
-    fn terminate(&mut self, term: LTerm, recipe: Vec<ChargeTag>) {
+    fn terminate(&mut self, term: LTerm, recipe: Recipe) {
         let blk = &mut self.blocks[self.cur as usize];
         blk.term = term;
         blk.term_recipe = recipe;
     }
 
-    /// Pending tags plus a final `tag` — the recipe of a charging
+    /// Pending tags plus a final `tag` — the recipe of a charging op or
     /// terminator.
-    fn branch_recipe(&mut self, tag: ChargeTag) -> Vec<ChargeTag> {
-        let mut recipe = std::mem::take(&mut self.pending);
-        recipe.push(tag);
-        recipe
+    fn branch_recipe(&mut self, tag: ChargeTag) -> Recipe {
+        self.charge(tag);
+        self.take_pending()
     }
 
     /// Feeds the top `phis.len()` stack values into `phis` along the
@@ -1756,7 +1815,7 @@ impl<'m> RegCompiler<'m> {
                         let frame = self.ctrl.last().expect("if frame");
                         let phis = frame.end_phis.clone();
                         self.feed_phis(&phis);
-                        let recipe = std::mem::take(&mut self.pending);
+                        let recipe = self.take_pending();
                         self.terminate(LTerm::Jump(x), recipe);
                     }
                     self.stack.truncate(height);
@@ -1809,8 +1868,11 @@ impl<'m> RegCompiler<'m> {
                     .chain(std::iter::once(default))
                     .map(|&d| self.ctrl[self.ctrl.len() - 1 - d as usize].br_block)
                     .collect();
-                // One edge (and one phi feed) per distinct target.
-                let uniq: BTreeSet<ssa::Block> = resolved.iter().copied().collect();
+                // One edge (and one phi feed) per distinct target, in
+                // ascending block order.
+                let mut uniq = resolved.clone();
+                uniq.sort_unstable();
+                uniq.dedup();
                 for t in uniq {
                     let phis = self
                         .ctrl
@@ -1934,30 +1996,30 @@ impl RegCompiler<'_> {
             return false;
         }
         match op {
-            Op::Nop => self.pending.push(ChargeTag::Simple),
+            Op::Nop => self.charge(ChargeTag::Simple),
             Op::Drop => {
                 self.stack.pop().expect("validated");
-                self.pending.push(ChargeTag::Simple);
+                self.charge(ChargeTag::Simple);
             }
             Op::Const(bits) => {
                 let v = self.const_value(bits);
                 self.stack.push(v);
-                self.pending.push(ChargeTag::Simple);
+                self.charge(ChargeTag::Simple);
             }
             Op::LocalGet(i) => {
                 let v = self.b.read_var(i, self.cur);
                 self.stack.push(v);
-                self.pending.push(ChargeTag::Simple);
+                self.charge(ChargeTag::Simple);
             }
             Op::LocalSet(i) => {
                 let v = self.stack.pop().expect("validated");
                 self.b.write_var(i, self.cur, v);
-                self.pending.push(ChargeTag::Simple);
+                self.charge(ChargeTag::Simple);
             }
             Op::LocalTee(i) => {
                 let v = *self.stack.last().expect("validated");
                 self.b.write_var(i, self.cur, v);
-                self.pending.push(ChargeTag::Simple);
+                self.charge(ChargeTag::Simple);
             }
             Op::Select => {
                 let cond = self.stack.pop().expect("validated");
@@ -2001,7 +2063,7 @@ impl RegCompiler<'_> {
                     ret: None,
                     grow: false,
                 });
-                self.terminate(LTerm::Halt, Vec::new());
+                self.terminate(LTerm::Halt, NO_RECIPE);
                 return true;
             }
             other => {
@@ -2072,15 +2134,18 @@ pub fn try_compile_reg(
     fuel.charge(stats.ops as u64 * 2)?;
     let mut c = RegCompiler {
         module,
-        b: SsaBuilder::new(),
-        blocks: Vec::with_capacity(16),
-        layout: Vec::with_capacity(16),
+        b: SsaBuilder::with_capacity(stats.ops / 8 + 4, stats.ops / 2 + 8),
+        blocks: Vec::with_capacity(stats.ops / 8 + 4),
+        layout: Vec::with_capacity(stats.ops / 8 + 4),
         cur: 0,
         stack: Vec::with_capacity(16),
-        pending: Vec::new(),
+        insts: Vec::with_capacity(stats.ops / 2),
+        succs: Vec::with_capacity(stats.ops / 4),
+        tags: Vec::with_capacity(stats.ops),
+        pending: 0,
         ctrl: Vec::with_capacity(8),
-        const_ids: BTreeMap::new(),
-        const_val: BTreeMap::new(),
+        const_ids: HashMap::new(),
+        const_val: Vec::new(),
     };
     let entry = c.new_block();
     c.b.seal_block(entry);
@@ -2116,7 +2181,7 @@ pub fn try_compile_reg(
     let reachable = c.lower_seq(body);
     c.end_construct(!reachable);
     let srcs = std::mem::take(&mut c.stack);
-    c.terminate(LTerm::Ret { srcs }, Vec::new());
+    c.terminate(LTerm::Ret { srcs }, NO_RECIPE);
 
     c.b.finish();
     if c.b.num_values() > limits.max_ssa_values {
@@ -2137,17 +2202,17 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
     // Which constants must live in a register: any resolved operand
     // position that is not foldable as an immediate (only the right
     // operand of an ALU op folds) and not a phi-copy source (those
-    // become direct constant writes).
-    let mut materialize: BTreeSet<ssa::Value> = BTreeSet::new();
-    let mark = |set: &mut BTreeSet<ssa::Value>, v: ssa::Value| {
+    // become direct constant writes). A bitset over value ids, read
+    // back in ascending order.
+    let mut materialize = vec![0u64; (num_values as usize).div_ceil(64)];
+    let mark = |set: &mut Vec<u64>, v: ssa::Value| {
         let v = r(v);
-        if c.const_val.contains_key(&v) {
-            set.insert(v);
+        if c.const_of(v).is_some() {
+            set[v as usize / 64] |= 1 << (v % 64);
         }
     };
     for &blk in &c.layout {
-        let lb = &c.blocks[blk as usize];
-        for (inst, _) in &lb.insts {
+        for (inst, _) in c.insts_of(blk) {
             match inst {
                 RInst::Flush => {}
                 // An ALU right operand folds into an immediate form,
@@ -2186,7 +2251,7 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
                 }
             }
         }
-        match &lb.term {
+        match &c.blocks[blk as usize].term {
             LTerm::BrIf { cond, .. } | LTerm::BrIfZ { cond, .. } => {
                 mark(&mut materialize, *cond);
             }
@@ -2199,6 +2264,16 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
             LTerm::None | LTerm::Jump(_) | LTerm::Halt => {}
         }
     }
+    let materialize: Vec<(ssa::Value, u64)> = materialize
+        .iter()
+        .enumerate()
+        .flat_map(|(wi, &w)| {
+            (0..64)
+                .filter(move |bit| w & (1 << bit) != 0)
+                .map(move |bit| (wi * 64 + bit) as ssa::Value)
+        })
+        .filter_map(|v| c.const_of(v).map(|bits| (v, bits)))
+        .collect();
 
     // Phi-elimination copies per layout block: every surviving phi of a
     // successor gets one copy on this edge. Copies are emitted
@@ -2207,22 +2282,23 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
     // across the batch) have overlapping intervals and therefore
     // distinct slots, while aliasing *within* the batch is resolved by
     // the copy sequencer's slot-level dependency analysis.
-    let mut block_copies: Vec<Vec<(ssa::Value, ssa::Value)>> = Vec::with_capacity(c.layout.len());
+    // `(phi, source)` pairs, layout block `i`'s from `copy_at[i]` to
+    // `copy_at[i + 1]`.
+    let mut copies: Vec<(ssa::Value, ssa::Value)> = Vec::new();
+    let mut copy_at: Vec<usize> = Vec::with_capacity(c.layout.len() + 1);
     for &blk in &c.layout {
-        let mut copies = Vec::new();
-        for &s in &c.blocks[blk as usize].succs {
+        copy_at.push(copies.len());
+        for &s in c.succs_of(blk) {
             for phi in b.phis_in(s) {
                 let src = b
-                    .phi_operands(phi)
-                    .iter()
-                    .find(|&&(p, _)| p == blk)
-                    .map(|&(_, v)| v)
+                    .phi_operand(phi, blk)
                     .expect("phi has an operand for every predecessor edge");
                 copies.push((phi, src));
             }
         }
-        block_copies.push(copies);
     }
+    copy_at.push(copies.len());
+    let block_copies = |i: usize| &copies[copy_at[i]..copy_at[i + 1]];
 
     // Linearise: every instruction gets one position (uses and defs
     // together); each copy gets its own; the terminator always gets one
@@ -2232,14 +2308,13 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
     // predecessor, which pins every copied-to phi live across the whole
     // copy batch — that keeps batch destinations pairwise overlapping
     // (distinct slots), which the copy sequencer requires.
-    let mut refs: Vec<ValueRef> = Vec::new();
+    let mut refs: Vec<ValueRef> = Vec::with_capacity(3 * (c.insts.len() + copies.len()));
     let mut ranges: Vec<BlockRange> = Vec::with_capacity(c.layout.len());
-    let layout_idx: BTreeMap<ssa::Block, u32> = c
-        .layout
-        .iter()
-        .enumerate()
-        .map(|(i, &blk)| (blk, i as u32))
-        .collect();
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(c.succs.len());
+    let mut layout_idx = vec![u32::MAX; c.blocks.len()];
+    for (i, &blk) in c.layout.iter().enumerate() {
+        layout_idx[blk as usize] = i as u32;
+    }
     let mut pos: u32 = 0;
     for (i, &blk) in c.layout.iter().enumerate() {
         let lb = &c.blocks[blk as usize];
@@ -2263,17 +2338,17 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
                 def_at(&mut refs, pos, p);
                 pos += 1;
             }
-            for &cv in &materialize {
+            for &(cv, _) in &materialize {
                 def_at(&mut refs, pos, cv);
                 pos += 1;
             }
         }
-        for (inst, _) in &lb.insts {
+        for (inst, _) in c.insts_of(blk) {
             match inst {
                 RInst::Flush => {}
                 RInst::Alu { dst, a, b: rb, .. } => {
                     use_at(&mut refs, pos, *a);
-                    if !c.const_val.contains_key(&r(*rb)) {
+                    if c.const_of(r(*rb)).is_none() {
                         use_at(&mut refs, pos, *rb);
                     }
                     def_at(&mut refs, pos, *dst);
@@ -2336,11 +2411,11 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
             }
             pos += 1;
         }
-        let copies = &block_copies[i];
+        let copies = block_copies(i);
         let term_pos = pos + copies.len() as u32;
         for &(phi, src) in copies {
             def_at(&mut refs, pos, phi);
-            if !c.const_val.contains_key(&r(src)) {
+            if c.const_of(r(src)).is_none() {
                 use_at(&mut refs, pos, src);
             }
             use_at(&mut refs, term_pos, phi);
@@ -2363,13 +2438,16 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
         ranges.push(BlockRange {
             start,
             end: pos - 1,
-            succs: lb.succs.iter().map(|s| layout_idx[s]).collect(),
         });
+        for &s in c.succs_of(blk) {
+            edges.push((i as u32, layout_idx[s as usize]));
+        }
     }
 
     let intervals = regalloc::live_intervals(&LivenessInput {
         num_values,
         blocks: ranges,
+        edges,
         refs,
     });
     let alloc = regalloc::try_linear_scan(&intervals, HOT_SLOTS)?;
@@ -2397,8 +2475,9 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
         slot: usize,
         target: ssa::Block,
     }
-    let mut ops: Vec<RegOp> = Vec::new();
-    let mut op_recipes: Vec<&[ChargeTag]> = Vec::new();
+    let max_ops = materialize.len() + c.insts.len() + 2 * copies.len() + c.layout.len();
+    let mut ops: Vec<RegOp> = Vec::with_capacity(max_ops);
+    let mut op_recipes: Vec<&[ChargeTag]> = Vec::with_capacity(max_ops);
     const EMPTY_RECIPE: &[ChargeTag] = &[];
     let mut patches: Vec<RPatch> = Vec::new();
     let mut block_pc: Vec<u32> = Vec::with_capacity(c.layout.len());
@@ -2406,19 +2485,16 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
         let lb = &c.blocks[blk as usize];
         block_pc.push(ops.len() as u32);
         if i == 0 {
-            for &cv in &materialize {
-                ops.push(RegOp::Const {
-                    dst: slot(cv),
-                    v: c.const_val[&cv],
-                });
+            for &(cv, v) in &materialize {
+                ops.push(RegOp::Const { dst: slot(cv), v });
                 op_recipes.push(EMPTY_RECIPE);
             }
         }
-        for (inst, recipe) in &lb.insts {
+        for (inst, recipe) in c.insts_of(blk) {
             let op = match inst {
                 RInst::Flush => RegOp::Nop,
-                RInst::Alu { op, dst, a, b: rb } => match c.const_val.get(&r(*rb)) {
-                    Some(&k) => RegOp::AluImm {
+                RInst::Alu { op, dst, a, b: rb } => match c.const_of(r(*rb)) {
+                    Some(k) => RegOp::AluImm {
                         op: *op,
                         dst: slot(*dst),
                         a: slot(*a),
@@ -2504,19 +2580,19 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
                 })),
             };
             ops.push(op);
-            op_recipes.push(recipe);
+            op_recipes.push(c.recipe(*recipe));
         }
-        let pairs: Vec<(u16, u16)> = block_copies[i]
+        let pairs: Vec<(u16, u16)> = block_copies(i)
             .iter()
-            .filter(|&&(_, src)| !c.const_val.contains_key(&r(src)))
+            .filter(|&&(_, src)| c.const_of(r(src)).is_none())
             .map(|&(phi, src)| (slot(phi), slot(src)))
             .collect();
         for (dst, src) in ssa::sequence_parallel_copies(&pairs, scratch) {
             ops.push(RegOp::Move { dst, src });
             op_recipes.push(EMPTY_RECIPE);
         }
-        for &(phi, src) in &block_copies[i] {
-            if let Some(&v) = c.const_val.get(&r(src)) {
+        for &(phi, src) in block_copies(i) {
+            if let Some(v) = c.const_of(r(src)) {
                 ops.push(RegOp::Const { dst: slot(phi), v });
                 op_recipes.push(EMPTY_RECIPE);
             }
@@ -2530,7 +2606,7 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
                     target: *t,
                 });
                 ops.push(RegOp::Jump(u32::MAX));
-                op_recipes.push(&lb.term_recipe);
+                op_recipes.push(c.recipe(lb.term_recipe));
             }
             LTerm::BrIf { cond, then_b } => {
                 patches.push(RPatch {
@@ -2542,7 +2618,7 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
                     cond: slot(*cond),
                     target: u32::MAX,
                 });
-                op_recipes.push(&lb.term_recipe);
+                op_recipes.push(c.recipe(lb.term_recipe));
             }
             LTerm::BrIfZ { cond, else_b } => {
                 patches.push(RPatch {
@@ -2554,7 +2630,7 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
                     cond: slot(*cond),
                     target: u32::MAX,
                 });
-                op_recipes.push(&lb.term_recipe);
+                op_recipes.push(c.recipe(lb.term_recipe));
             }
             LTerm::BrTable { sel, targets } => {
                 for (slot_idx, t) in targets.iter().enumerate() {
@@ -2568,18 +2644,18 @@ fn emit_reg(c: &RegCompiler, params: &[ssa::Value]) -> Result<RegCode, cage_wasm
                     sel: slot(*sel),
                     targets: vec![u32::MAX; targets.len()].into_boxed_slice(),
                 });
-                op_recipes.push(&lb.term_recipe);
+                op_recipes.push(c.recipe(lb.term_recipe));
             }
             LTerm::Ret { srcs } => {
                 ops.push(RegOp::Ret {
                     srcs: srcs.iter().map(|&s| slot(s)).collect(),
                 });
-                op_recipes.push(&lb.term_recipe);
+                op_recipes.push(c.recipe(lb.term_recipe));
             }
         }
     }
     for p in &patches {
-        let pc = block_pc[layout_idx[&p.target] as usize];
+        let pc = block_pc[layout_idx[p.target as usize] as usize];
         match &mut ops[p.op] {
             RegOp::Jump(t) => *t = pc,
             RegOp::BrIf { target, .. } | RegOp::BrIfZ { target, .. } => *target = pc,

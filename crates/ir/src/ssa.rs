@@ -7,18 +7,27 @@
 //! points, and blocks whose predecessor sets are not yet complete (loop
 //! headers during body construction) hold *incomplete* phis that are
 //! resolved when the block is sealed. Trivial phis (all operands equal)
-//! are replaced by their unique operand through a redirection map —
-//! [`SsaBuilder::resolve`] follows the chain — rather than by rewriting
-//! uses in place, so the client can resolve its own instruction operands
-//! once, after [`SsaBuilder::finish`].
+//! are replaced by their unique operand through a redirection table —
+//! [`SsaBuilder::resolve`] follows it — rather than by rewriting uses in
+//! place, so the client can resolve its own instruction operands once,
+//! after [`SsaBuilder::finish`].
 //!
 //! Everything is `u32` identifiers: the client owns the meaning of
-//! variables and values. Deterministic by construction (`BTreeMap`
-//! state, no hashing-order dependence), which matters because the engine
-//! derives bytecode — and ultimately the cycle-golden file — from the
-//! output.
-
-use std::collections::BTreeMap;
+//! variables and values. The state is dense and `Vec`-indexed, sized by
+//! what the input defines rather than by blocks × variables:
+//!
+//! - per block (indexed by block id): its predecessors, its phis, and
+//!   the variable definitions reaching its end, as a list sorted by
+//!   variable (binary-searched), so a block holds only the variables
+//!   written or looked up through it. These lists live in shared
+//!   arenas, so a block costs no allocation of its own;
+//! - per value (indexed by value id): its phi, if it is one, and its
+//!   trivial-phi redirection, path-compressed as it is followed.
+//!
+//! Memory is O(definitions + values + blocks). Every container iterates
+//! in insertion or id order, never in hash order, so the output is
+//! deterministic, which matters because the engine derives bytecode —
+//! and ultimately the cycle-golden file — from it.
 
 /// A client-defined variable (e.g. a wasm local index).
 pub type Var = u32;
@@ -33,41 +42,183 @@ pub type Value = u32;
 /// to this.
 pub const UNDEF: Value = u32::MAX;
 
+/// The end of a [`List`], and the `phi_of` entry of a value that was
+/// never a phi.
+const NONE: u32 = u32::MAX;
+
+/// An append-only list threaded through a [`Lists`] arena: its first
+/// and last node, [`NONE`] when empty.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    first: u32,
+    last: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        first: NONE,
+        last: NONE,
+    };
+}
+
+/// Many append-only lists sharing one `Vec`: a node is an item plus the
+/// index of the next node of its list. Lists keep insertion order and
+/// cost no allocation of their own.
+#[derive(Debug)]
+struct Lists<T> {
+    nodes: Vec<(T, u32)>,
+}
+
+impl<T: Copy> Lists<T> {
+    fn with_capacity(n: usize) -> Self {
+        Lists {
+            nodes: Vec::with_capacity(n),
+        }
+    }
+
+    fn push(&mut self, list: &mut List, item: T) {
+        let node = self.nodes.len() as u32;
+        match list.last {
+            NONE => list.first = node,
+            last => self.nodes[last as usize].1 = node,
+        }
+        list.last = node;
+        self.nodes.push((item, NONE));
+    }
+
+    /// The item at `node` and the node after it; `None` past the end.
+    fn at(&self, node: u32) -> Option<(T, u32)> {
+        self.nodes.get(node as usize).copied()
+    }
+
+    fn iter(&self, list: List) -> impl Iterator<Item = T> + '_ {
+        let mut node = list.first;
+        std::iter::from_fn(move || {
+            let (item, next) = self.at(node)?;
+            node = next;
+            Some(item)
+        })
+    }
+}
+
+/// A block's `(variable, value)` list inside a [`DefTable`]: `len`
+/// entries sorted by variable from `start`, with room for `cap`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// Every block's definitions in one buffer. A full list that is not the
+/// last one moves to the end with twice the room, so the buffer stays
+/// within a small factor of the entries it holds.
 #[derive(Debug, Default)]
-struct BlockData {
-    preds: Vec<Block>,
-    sealed: bool,
-    defs: BTreeMap<Var, Value>,
-    /// Phis created before the predecessor set was complete, awaiting
-    /// [`SsaBuilder::seal_block`].
-    incomplete: Vec<(Var, Value)>,
+struct DefTable {
+    data: Vec<(Var, Value)>,
+}
+
+impl DefTable {
+    fn entries(&self, span: Span) -> &[(Var, Value)] {
+        &self.data[span.start as usize..(span.start + span.len) as usize]
+    }
+
+    fn get(&self, span: Span, var: Var) -> Option<Value> {
+        let entries = self.entries(span);
+        let i = entries.binary_search_by_key(&var, |&(v, _)| v).ok()?;
+        Some(entries[i].1)
+    }
+
+    fn set(&mut self, span: &mut Span, var: Var, value: Value) {
+        let at = match self.entries(*span).binary_search_by_key(&var, |&(v, _)| v) {
+            Ok(i) => {
+                self.data[(span.start + i as u32) as usize].1 = value;
+                return;
+            }
+            Err(i) => i,
+        };
+        if span.len == span.cap {
+            let cap = (span.cap * 2).max(4);
+            if (span.start + span.cap) as usize != self.data.len() {
+                let start = self.data.len();
+                self.data
+                    .extend_from_within(span.start as usize..(span.start + span.len) as usize);
+                span.start = start as u32;
+            }
+            self.data.resize((span.start + cap) as usize, (0, 0));
+            span.cap = cap;
+        }
+        let base = span.start as usize;
+        self.data
+            .copy_within(base + at..base + span.len as usize, base + at + 1);
+        self.data[base + at] = (var, value);
+        span.len += 1;
+    }
 }
 
 #[derive(Debug)]
-struct PhiData {
-    block: Block,
-    /// `(predecessor, value)` — one entry per predecessor edge.
-    operands: Vec<(Block, Value)>,
+struct BlockData {
+    /// Predecessor edges in registration order (`SsaBuilder::preds`).
+    preds: List,
+    pred_count: u32,
+    sealed: bool,
+    /// `(variable, value)` at the block's current end
+    /// (`SsaBuilder::defs`).
+    defs: Span,
+    /// Phis created before the predecessor set was complete, awaiting
+    /// [`SsaBuilder::seal_block`].
+    incomplete: Vec<(Var, Value)>,
+    /// Every phi created in the block, as indices into
+    /// `SsaBuilder::phis` in ascending value order
+    /// (`SsaBuilder::block_phis`); removed ones are skipped on reads.
+    phis: List,
+}
+
+impl Default for BlockData {
+    fn default() -> Self {
+        BlockData {
+            preds: List::EMPTY,
+            pred_count: 0,
+            sealed: false,
+            defs: Span::default(),
+            incomplete: Vec::new(),
+            phis: List::EMPTY,
+        }
+    }
+}
+
+#[derive(Debug)]
+struct Phi {
+    value: Value,
+    /// `(predecessor, value)` — one entry per predecessor edge
+    /// (`SsaBuilder::operands`).
+    operands: List,
+    /// Cleared when the phi is found trivial and redirected.
+    live: bool,
 }
 
 /// One frame of the explicit reaching-definition walk
 /// ([`SsaBuilder::run_read`]); replaces the recursion of Braun et al.'s
 /// `readVariableRecursive`/`addPhiOperands` pair.
+#[derive(Debug)]
 enum Walk {
     /// Resolve the variable's value at the end of `block`.
     Read { block: Block },
     /// A single-predecessor chain hop: once the predecessor's value is
     /// known, memoize it in `block` too.
     Store { block: Block },
-    /// Fill `phi`'s operands from `preds`; `next` predecessors have been
-    /// dispatched so far. `write_back` distinguishes a read-triggered
-    /// phi (memoize the resolved value in the block's def map) from a
-    /// seal-triggered completion (leave the def map alone).
+    /// Fill `phi`'s operands from the predecessors of `block` (final by
+    /// now: the block is sealed): `sent` is the predecessor whose read
+    /// was dispatched last ([`NONE`] before the first), `next` the edge
+    /// to dispatch next ([`NONE`] after the last). `write_back`
+    /// distinguishes a read-triggered phi (memoize the resolved value in
+    /// the block's def map) from a seal-triggered completion (leave the
+    /// def map alone).
     Fill {
         phi: Value,
         block: Block,
-        preds: Vec<Block>,
-        next: usize,
+        sent: Block,
+        next: u32,
         write_back: bool,
     },
 }
@@ -76,12 +227,29 @@ enum Walk {
 /// create blocks, add predecessor edges, read/write variables, seal each
 /// block once its predecessors are final, then call
 /// [`SsaBuilder::finish`] and resolve operands.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SsaBuilder {
-    next_value: u32,
     blocks: Vec<BlockData>,
-    phis: BTreeMap<Value, PhiData>,
-    replaced: BTreeMap<Value, Value>,
+    /// The arenas behind each block's `preds`, `defs` and `phis` and
+    /// each phi's `operands`.
+    preds: Lists<Block>,
+    defs: DefTable,
+    block_phis: Lists<u32>,
+    operands: Lists<(Block, Value)>,
+    /// Every phi ever created, in ascending value order.
+    phis: Vec<Phi>,
+    /// Per value id: its index in `phis`, or [`NONE`].
+    phi_of: Vec<u32>,
+    /// Per value id: the value it was redirected to (itself if none).
+    replaced: Vec<Value>,
+    /// The walk stack of [`SsaBuilder::run_read`], kept for reuse.
+    walk: Vec<Walk>,
+}
+
+impl Default for SsaBuilder {
+    fn default() -> Self {
+        Self::with_capacity(0, 0)
+    }
 }
 
 impl SsaBuilder {
@@ -91,10 +259,30 @@ impl SsaBuilder {
         Self::default()
     }
 
+    /// Creates an empty builder with room for `blocks` blocks and
+    /// `values` values before any table grows.
+    #[must_use]
+    pub fn with_capacity(blocks: usize, values: usize) -> Self {
+        SsaBuilder {
+            blocks: Vec::with_capacity(blocks),
+            preds: Lists::with_capacity(2 * blocks),
+            defs: DefTable {
+                data: Vec::with_capacity(4 * blocks),
+            },
+            block_phis: Lists::with_capacity(blocks),
+            operands: Lists::with_capacity(2 * blocks),
+            phis: Vec::with_capacity(blocks),
+            phi_of: Vec::with_capacity(values),
+            replaced: Vec::with_capacity(values),
+            walk: Vec::new(),
+        }
+    }
+
     /// Allocates a fresh value id for a client-side definition.
     pub fn new_value(&mut self) -> Value {
-        let v = self.next_value;
-        self.next_value += 1;
+        let v = self.replaced.len() as Value;
+        self.replaced.push(v);
+        self.phi_of.push(NONE);
         v
     }
 
@@ -113,18 +301,20 @@ impl SsaBuilder {
     pub fn add_pred(&mut self, block: Block, pred: Block) {
         let data = &mut self.blocks[block as usize];
         assert!(!data.sealed, "edge added to sealed block {block}");
-        data.preds.push(pred);
+        data.pred_count += 1;
+        self.preds.push(&mut data.preds, pred);
     }
 
     /// Number of predecessor edges registered for `block`.
     #[must_use]
     pub fn pred_count(&self, block: Block) -> usize {
-        self.blocks[block as usize].preds.len()
+        self.blocks[block as usize].pred_count as usize
     }
 
     /// Records that `var` holds `value` at the end of `block`.
     pub fn write_var(&mut self, var: Var, block: Block, value: Value) {
-        self.blocks[block as usize].defs.insert(var, value);
+        self.defs
+            .set(&mut self.blocks[block as usize].defs, var, value);
     }
 
     /// The value of `var` at the current end of `block`, creating phis
@@ -150,10 +340,9 @@ impl SsaBuilder {
         let data = &mut self.blocks[block as usize];
         assert!(!data.sealed, "block {block} sealed twice");
         data.sealed = true;
+        let first = data.preds.first;
         let incomplete = std::mem::take(&mut data.incomplete);
         for (var, phi) in incomplete {
-            let block = self.phis[&phi].block;
-            let preds = self.blocks[block as usize].preds.clone();
             // Seal-time completion leaves the block's def map alone: the
             // phi stays recorded and redirects through `replaced` if it
             // turns out trivial.
@@ -162,8 +351,8 @@ impl SsaBuilder {
                 Walk::Fill {
                     phi,
                     block,
-                    preds,
-                    next: 0,
+                    sent: NONE,
+                    next: first,
                     write_back: false,
                 },
             );
@@ -177,7 +366,8 @@ impl SsaBuilder {
     /// and operand insertion (the bytecode derived from this feeds the
     /// cycle golden file).
     fn run_read(&mut self, var: Var, start: Walk) -> Value {
-        let mut stack = vec![start];
+        let mut stack = std::mem::take(&mut self.walk);
+        stack.push(start);
         // The value produced by the most recently completed frame.
         let mut ret = UNDEF;
         while let Some(top) = stack.last_mut() {
@@ -185,34 +375,32 @@ impl SsaBuilder {
                 Walk::Read { block } => {
                     let block = *block;
                     stack.pop();
-                    if let Some(&v) = self.blocks[block as usize].defs.get(&var) {
-                        ret = self.resolve(v);
-                        continue;
-                    }
                     let data = &self.blocks[block as usize];
-                    if !data.sealed {
+                    if let Some(v) = self.defs.get(data.defs, var) {
+                        ret = self.find(v);
+                    } else if !data.sealed {
                         let phi = self.new_phi(block);
                         self.blocks[block as usize].incomplete.push((var, phi));
                         self.write_var(var, block, phi);
                         ret = phi;
-                    } else if data.preds.is_empty() {
+                    } else if data.pred_count == 0 {
                         self.write_var(var, block, UNDEF);
                         ret = UNDEF;
-                    } else if data.preds.len() == 1 {
-                        let p = data.preds[0];
+                    } else if data.pred_count == 1 {
+                        let p = self.preds.nodes[data.preds.first as usize].0;
                         stack.push(Walk::Store { block });
                         stack.push(Walk::Read { block: p });
                     } else {
                         // Break potential cycles (loops) by writing the
                         // phi before collecting its operands.
-                        let preds = data.preds.clone();
+                        let next = data.preds.first;
                         let phi = self.new_phi(block);
                         self.write_var(var, block, phi);
                         stack.push(Walk::Fill {
                             phi,
                             block,
-                            preds,
-                            next: 0,
+                            sent: NONE,
+                            next,
                             write_back: true,
                         });
                     }
@@ -225,23 +413,19 @@ impl SsaBuilder {
                 Walk::Fill {
                     phi,
                     block,
-                    preds,
+                    sent,
                     next,
                     write_back,
                 } => {
-                    if *next > 0 {
+                    if *sent != NONE {
                         // A predecessor read just completed: record it.
-                        let p = preds[*next - 1];
-                        let (phi, value) = (*phi, ret);
-                        self.phis
-                            .get_mut(&phi)
-                            .expect("phi live while adding operands")
-                            .operands
-                            .push((p, value));
+                        let idx = self.phi_of[*phi as usize] as usize;
+                        self.operands
+                            .push(&mut self.phis[idx].operands, (*sent, ret));
                     }
-                    if *next < preds.len() {
-                        let p = preds[*next];
-                        *next += 1;
+                    if let Some((p, after)) = self.preds.at(*next) {
+                        *sent = p;
+                        *next = after;
                         stack.push(Walk::Read { block: p });
                     } else {
                         let (phi, block, write_back) = (*phi, *block, *write_back);
@@ -255,6 +439,7 @@ impl SsaBuilder {
                 }
             }
         }
+        self.walk = stack;
         ret
     }
 
@@ -264,14 +449,27 @@ impl SsaBuilder {
     /// a variable).
     pub fn new_phi(&mut self, block: Block) -> Value {
         let v = self.new_value();
-        self.phis.insert(
-            v,
-            PhiData {
-                block,
-                operands: Vec::new(),
-            },
-        );
+        let idx = self.phis.len() as u32;
+        self.phi_of[v as usize] = idx;
+        self.phis.push(Phi {
+            value: v,
+            operands: List::EMPTY,
+            live: true,
+        });
+        self.block_phis
+            .push(&mut self.blocks[block as usize].phis, idx);
         v
+    }
+
+    /// The index in `phis` of `v`, if it is a surviving phi.
+    fn phi_index(&self, v: Value) -> Option<usize> {
+        let idx = *self.phi_of.get(v as usize)? as usize;
+        self.phis.get(idx)?.live.then_some(idx)
+    }
+
+    /// The surviving phi `v`, if it is one.
+    fn phi(&self, v: Value) -> Option<&Phi> {
+        self.phi_index(v).map(|idx| &self.phis[idx])
     }
 
     /// Appends the operand `value` flowing into phi `phi` along the edge
@@ -281,20 +479,20 @@ impl SsaBuilder {
     ///
     /// Panics if `phi` is not a live phi.
     pub fn add_phi_operand(&mut self, phi: Value, pred: Block, value: Value) {
-        self.phis
-            .get_mut(&phi)
-            .expect("operand added to non-phi value")
-            .operands
-            .push((pred, value));
+        let idx = self.phi_index(phi).expect("operand added to non-phi value");
+        self.operands
+            .push(&mut self.phis[idx].operands, (pred, value));
     }
 
     /// Replaces `phi` by its unique operand when all operands agree
     /// (ignoring self-references); returns the surviving value.
     fn try_remove_trivial(&mut self, phi: Value) -> Value {
+        let idx = self.phi_of[phi as usize] as usize;
         let mut same: Option<Value> = None;
-        for i in 0..self.phis[&phi].operands.len() {
-            let (_, raw) = self.phis[&phi].operands[i];
-            let v = self.resolve(raw);
+        let mut node = self.phis[idx].operands.first;
+        while let Some(((_, raw), next)) = self.operands.at(node) {
+            node = next;
+            let v = self.find(raw);
             if v == phi || Some(v) == same || v == UNDEF {
                 continue;
             }
@@ -304,19 +502,37 @@ impl SsaBuilder {
             same = Some(v);
         }
         let same = same.unwrap_or(UNDEF);
-        self.phis.remove(&phi);
-        self.replaced.insert(phi, same);
+        self.phis[idx].live = false;
+        self.replaced[phi as usize] = same;
         same
     }
 
     /// Follows the trivial-phi redirection chain from `v` to the value
-    /// that actually carries it.
+    /// that actually carries it. After [`SsaBuilder::finish`] every
+    /// chain is one hop long.
     #[must_use]
     pub fn resolve(&self, mut v: Value) -> Value {
-        while let Some(&r) = self.replaced.get(&v) {
+        while let Some(&r) = self.replaced.get(v as usize) {
+            if r == v {
+                break;
+            }
             v = r;
         }
         v
+    }
+
+    /// [`SsaBuilder::resolve`] with path compression: every value on the
+    /// chain is redirected straight to the result.
+    fn find(&mut self, v: Value) -> Value {
+        let root = self.resolve(v);
+        let mut x = v;
+        while let Some(r) = self.replaced.get_mut(x as usize) {
+            if *r == x || *r == root {
+                break;
+            }
+            x = std::mem::replace(r, root);
+        }
+        root
     }
 
     /// Runs trivial-phi elimination to a fixpoint. The on-the-fly
@@ -327,52 +543,62 @@ impl SsaBuilder {
     pub fn finish(&mut self) {
         loop {
             let mut changed = false;
-            let ids: Vec<Value> = self.phis.keys().copied().collect();
-            for id in ids {
-                if self.phis.contains_key(&id) && self.try_remove_trivial(id) != id {
+            for idx in 0..self.phis.len() {
+                let Phi { value, live, .. } = self.phis[idx];
+                if live && self.try_remove_trivial(value) != value {
                     changed = true;
                 }
             }
             if !changed {
-                return;
+                break;
             }
+        }
+        for v in 0..self.replaced.len() as Value {
+            self.find(v);
         }
     }
 
     /// Whether `v` is a (surviving) phi.
     #[must_use]
     pub fn is_phi(&self, v: Value) -> bool {
-        self.phis.contains_key(&v)
+        self.phi(v).is_some()
     }
 
     /// The surviving phis of `block`, in ascending value order.
-    #[must_use]
-    pub fn phis_in(&self, block: Block) -> Vec<Value> {
-        self.phis
-            .iter()
-            .filter(|(_, d)| d.block == block)
-            .map(|(&v, _)| v)
-            .collect()
+    pub fn phis_in(&self, block: Block) -> impl Iterator<Item = Value> + '_ {
+        self.block_phis
+            .iter(self.blocks[block as usize].phis)
+            .map(|idx| &self.phis[idx as usize])
+            .filter(|p| p.live)
+            .map(|p| p.value)
     }
 
-    /// The resolved `(predecessor, value)` operands of phi `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not a surviving phi.
+    /// The resolved value flowing into phi `v` along its first edge from
+    /// `pred`; `None` if `v` is not a surviving phi or has no such edge.
+    #[must_use]
+    pub fn phi_operand(&self, v: Value, pred: Block) -> Option<Value> {
+        self.operands
+            .iter(self.phi(v)?.operands)
+            .find(|&(p, _)| p == pred)
+            .map(|(_, val)| self.resolve(val))
+    }
+
+    /// The resolved `(predecessor, value)` operands of phi `v`; empty if
+    /// `v` is not a surviving phi.
     #[must_use]
     pub fn phi_operands(&self, v: Value) -> Vec<(Block, Value)> {
-        self.phis[&v]
-            .operands
-            .iter()
-            .map(|&(p, val)| (p, self.resolve(val)))
-            .collect()
+        self.phi(v).map_or_else(Vec::new, |phi| {
+            self.operands
+                .iter(phi.operands)
+                .map(|(p, val)| (p, self.resolve(val)))
+                .collect()
+        })
     }
 
     /// Total number of value ids allocated.
     #[must_use]
     pub fn num_values(&self) -> u32 {
-        self.next_value
+        self.replaced.len() as u32
     }
 }
 
@@ -444,7 +670,7 @@ mod tests {
         b.finish();
         assert!(b.is_phi(v));
         assert_eq!(b.phi_operands(v), vec![(then_b, t), (else_b, e)]);
-        assert_eq!(b.phis_in(join), vec![v]);
+        assert_eq!(b.phis_in(join).collect::<Vec<_>>(), vec![v]);
     }
 
     #[test]
@@ -464,7 +690,7 @@ mod tests {
         let v = b.read_var(0, join);
         b.finish();
         assert_eq!(b.resolve(v), v0);
-        assert!(b.phis_in(join).is_empty());
+        assert_eq!(b.phis_in(join).count(), 0);
     }
 
     #[test]
